@@ -3,13 +3,15 @@
 // eigensolver against the dense solver it replaces and the end-to-end
 // P-MUSIC estimate both ways.
 //
-// Each kernel runs as two arms (simd:0 = the legacy scalar path the
-// core used before dispatch existed, simd:1 = the active vector
-// backend) on the production shape: M = 8 elements, G = 361 grid
-// columns, N = 16 snapshots. The vector arm also reports
-// `speedup_vs_scalar` (median-over-median, measured in-process) so
-// BENCH_latency.json records the ratio directly, and every arm reports
-// manual p50/p99 per-call latency alongside google-benchmark's mean.
+// Each kernel runs as two arms (simd:0 = the scalar `_lanes` kernels
+// under a forced kScalar backend, simd:1 = the detected vector backend)
+// on the production shape: M = 8 elements, G = 361 grid columns,
+// N = 16 snapshots. The vector arm also reports `speedup_vs_scalar`
+// (median-over-median, measured in-process) so BENCH_latency.json
+// records the ratio directly; it measures the speedup against the
+// scalar `_lanes` kernels, not the pre-SIMD std::complex loops. Every
+// arm reports manual p50/p99 per-call latency alongside
+// google-benchmark's mean.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -114,6 +116,15 @@ simd::Backend arm_backend(const benchmark::State& state) {
   return simd_arm(state) ? simd::detected_backend() : simd::Backend::kScalar;
 }
 
+/// Skips the vector arm on a host without a vector backend.
+bool skip_arm(benchmark::State& state) {
+  if (simd_arm(state) && simd::detected_backend() == simd::Backend::kScalar) {
+    state.SkipWithError("no vector backend on this host");
+    return true;
+  }
+  return false;
+}
+
 void report_percentiles(benchmark::State& state, std::vector<double>& us) {
   if (us.empty()) return;
   std::sort(us.begin(), us.end());
@@ -141,138 +152,29 @@ double median_us(Fn&& fn, int iters) {
   return us[us.size() / 2];
 }
 
-/// speedup_vs_scalar counter on the vector arm: median legacy-scalar
-/// time over median vector time, both measured here and now.
-template <typename ScalarFn, typename SimdFn>
-void report_speedup(benchmark::State& state, ScalarFn&& scalar_fn,
-                    SimdFn&& simd_fn) {
+/// speedup_vs_scalar counter on the vector arm: median time of `call`
+/// under a forced kScalar backend (the scalar `_lanes` kernels) over its
+/// median time on the vector backend, both measured here and now.
+template <typename Fn>
+void report_speedup(benchmark::State& state, Fn&& call) {
   if (!simd_arm(state)) return;
-  const double scalar_med = median_us(scalar_fn, 200);
-  const double simd_med = median_us(simd_fn, 200);
+  double scalar_med = 0.0;
+  {
+    const ScopedBackend scalar(simd::Backend::kScalar);
+    scalar_med = median_us(call, 200);
+  }
+  const ScopedBackend vector(arm_backend(state));
+  const double simd_med = median_us(call, 200);
   if (simd_med > 0.0) {
     state.counters["speedup_vs_scalar"] = scalar_med / simd_med;
   }
 }
 
-// ---- kernel arms -----------------------------------------------------
-
-void BM_KernelBatchedQuadraticForm(benchmark::State& state) {
-  if (simd_arm(state) && simd::detected_backend() == simd::Backend::kScalar) {
-    state.SkipWithError("no vector backend on this host");
-    return;
-  }
-  const Fixtures& f = fixtures();
+/// Times one kernel arm: `call` runs on the arm's backend, per-call
+/// p50/p99, `items` per call, and speedup_vs_scalar on the vector arm.
+template <typename Fn>
+void run_arm(benchmark::State& state, Fn&& call, std::size_t items) {
   const ScopedBackend scope(arm_backend(state));
-  const auto scalar_call = [&f] {
-    benchmark::DoNotOptimize(
-        linalg::batched_quadratic_form(f.r, f.manifold->matrix()));
-  };
-  const auto simd_call = [&f] {
-    benchmark::DoNotOptimize(
-        simd::batched_quadratic_form(f.r, f.manifold->soa()));
-  };
-  std::vector<double> us;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (simd_arm(state)) {
-      simd_call();
-    } else {
-      scalar_call();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.manifold->matrix().cols()));
-  report_percentiles(state, us);
-  report_speedup(state, scalar_call, simd_call);
-}
-BENCHMARK(BM_KernelBatchedQuadraticForm)
-    ->ArgNames({"simd"})->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_KernelMatmulHermitianLeft(benchmark::State& state) {
-  if (simd_arm(state) && simd::detected_backend() == simd::Backend::kScalar) {
-    state.SkipWithError("no vector backend on this host");
-    return;
-  }
-  const Fixtures& f = fixtures();
-  const ScopedBackend scope(arm_backend(state));
-  const auto scalar_call = [&f] {
-    benchmark::DoNotOptimize(
-        linalg::matmul_hermitian_left(f.noise_subspace, f.manifold->matrix()));
-  };
-  const auto simd_call = [&f] {
-    benchmark::DoNotOptimize(
-        simd::matmul_hermitian_left(f.noise_subspace, f.manifold->soa()));
-  };
-  std::vector<double> us;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (simd_arm(state)) {
-      simd_call();
-    } else {
-      scalar_call();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.manifold->matrix().cols()));
-  report_percentiles(state, us);
-  report_speedup(state, scalar_call, simd_call);
-}
-BENCHMARK(BM_KernelMatmulHermitianLeft)
-    ->ArgNames({"simd"})->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_KernelColumnSquaredNorms(benchmark::State& state) {
-  if (simd_arm(state) && simd::detected_backend() == simd::Backend::kScalar) {
-    state.SkipWithError("no vector backend on this host");
-    return;
-  }
-  const Fixtures& f = fixtures();
-  const ScopedBackend scope(arm_backend(state));
-  const auto scalar_call = [&f] {
-    benchmark::DoNotOptimize(
-        linalg::column_squared_norms(f.manifold->matrix()));
-  };
-  const auto simd_call = [&f] {
-    benchmark::DoNotOptimize(simd::column_squared_norms(f.manifold->soa()));
-  };
-  std::vector<double> us;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (simd_arm(state)) {
-      simd_call();
-    } else {
-      scalar_call();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(f.manifold->matrix().cols()));
-  report_percentiles(state, us);
-  report_speedup(state, scalar_call, simd_call);
-}
-BENCHMARK(BM_KernelColumnSquaredNorms)
-    ->ArgNames({"simd"})->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_KernelSampleCorrelation(benchmark::State& state) {
-  if (simd_arm(state) && simd::detected_backend() == simd::Backend::kScalar) {
-    state.SkipWithError("no vector backend on this host");
-    return;
-  }
-  const Fixtures& f = fixtures();
-  const ScopedBackend scope(arm_backend(state));
-  // Both arms go through core::sample_correlation — the dispatch there
-  // routes scalar to the legacy loop and vector through the SoA adapter
-  // (conversion included: that is the real per-call cost).
-  const auto call = [&f] {
-    benchmark::DoNotOptimize(core::sample_correlation(f.x));
-  };
   std::vector<double> us;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -281,20 +183,67 @@ void BM_KernelSampleCorrelation(benchmark::State& state) {
     us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSnapshots));
+                          static_cast<std::int64_t>(items));
   report_percentiles(state, us);
-  if (simd_arm(state)) {
-    const double scalar_med = median_us(
-        [&f] {
-          const ScopedBackend inner(simd::Backend::kScalar);
-          benchmark::DoNotOptimize(core::sample_correlation(f.x));
-        },
-        200);
-    const double simd_med = median_us(call, 200);
-    if (simd_med > 0.0) {
-      state.counters["speedup_vs_scalar"] = scalar_med / simd_med;
-    }
-  }
+  report_speedup(state, call);
+}
+
+// ---- kernel arms -----------------------------------------------------
+
+void BM_KernelBatchedQuadraticForm(benchmark::State& state) {
+  if (skip_arm(state)) return;
+  const Fixtures& f = fixtures();
+  run_arm(
+      state,
+      [&f] {
+        benchmark::DoNotOptimize(
+            simd::batched_quadratic_form(f.r, f.manifold->soa()));
+      },
+      f.manifold->grid_points());
+}
+BENCHMARK(BM_KernelBatchedQuadraticForm)
+    ->ArgNames({"simd"})->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_KernelMatmulHermitianLeft(benchmark::State& state) {
+  if (skip_arm(state)) return;
+  const Fixtures& f = fixtures();
+  run_arm(
+      state,
+      [&f] {
+        benchmark::DoNotOptimize(
+            simd::matmul_hermitian_left(f.noise_subspace, f.manifold->soa()));
+      },
+      f.manifold->grid_points());
+}
+BENCHMARK(BM_KernelMatmulHermitianLeft)
+    ->ArgNames({"simd"})->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_KernelColumnSquaredNorms(benchmark::State& state) {
+  if (skip_arm(state)) return;
+  const Fixtures& f = fixtures();
+  run_arm(
+      state,
+      [&f] {
+        benchmark::DoNotOptimize(
+            simd::column_squared_norms(f.manifold->soa()));
+      },
+      f.manifold->grid_points());
+}
+BENCHMARK(BM_KernelColumnSquaredNorms)
+    ->ArgNames({"simd"})->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_KernelSampleCorrelation(benchmark::State& state) {
+  if (skip_arm(state)) return;
+  const Fixtures& f = fixtures();
+  // Through core::sample_correlation, SoA conversion included: that is
+  // the real per-call cost.
+  run_arm(
+      state,
+      [&f] { benchmark::DoNotOptimize(core::sample_correlation(f.x)); },
+      kSnapshots);
 }
 BENCHMARK(BM_KernelSampleCorrelation)
     ->ArgNames({"simd"})->Arg(0)->Arg(1)

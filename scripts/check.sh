@@ -2,7 +2,9 @@
 # One-command pre-merge gate: everything CI runs, in the order a failure
 # is cheapest to see.
 #
-#   1. tier-1: configure + build + full ctest of the default tree;
+#   1. tier-1: configure + build + full ctest of the default tree, then
+#      the same suite again with DWATCH_SIMD=off (every kernel on the
+#      scalar backend, seconds, no rebuild);
 #   2. recovery: the self-healing label on the same tree (fast re-run,
 #      isolates a recovery regression from an unrelated tier-1 one);
 #      then the scenario label (the compliance suite) the same way,
@@ -39,6 +41,11 @@ run() {
 run cmake -S . -B build
 run cmake --build build --parallel "$JOBS"
 run ctest --test-dir build --output-on-failure
+
+# --- 1b. the same tree on the scalar backend ----------------------------
+# A scalar-kernel break shows up here, long before stage 8's nested
+# rebuild.
+run env DWATCH_SIMD=off ctest --test-dir build --output-on-failure
 
 # --- 2. recovery label, explicitly --------------------------------------
 run ctest --test-dir build -L recovery --output-on-failure

@@ -11,27 +11,10 @@ linalg::CMatrix sample_correlation(const linalg::CMatrix& x) {
   if (x.rows() == 0 || x.cols() == 0) {
     throw std::invalid_argument("sample_correlation: empty snapshot matrix");
   }
-  namespace simd = linalg::simd;
-  if (simd::active_backend() != simd::Backend::kScalar) {
-    // Transposed SoA: snapshot k becomes a contiguous row, so the
-    // kernel vector-loads across array elements. Bit-identical to the
-    // scalar loop below (the parity contract in simd_kernels.hpp).
-    return simd::sample_correlation(
-        linalg::SplitComplexMatrix::from_matrix_transposed(x));
-  }
-  const std::size_t m = x.rows();
-  const std::size_t n = x.cols();
-  linalg::CMatrix r(m, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      linalg::Complex sum{};
-      for (std::size_t k = 0; k < n; ++k) {
-        sum += x(i, k) * std::conj(x(j, k));
-      }
-      r(i, j) = sum / static_cast<double>(n);
-    }
-  }
-  return r;
+  // Transposed SoA: snapshot k becomes a contiguous row, so the kernel
+  // vector-loads across array elements.
+  return linalg::simd::sample_correlation(
+      linalg::SplitComplexMatrix::from_matrix_transposed(x));
 }
 
 linalg::CMatrix forward_smooth(const linalg::CMatrix& r,

@@ -15,16 +15,10 @@ namespace dwatch::core {
 
 namespace {
 
-/// ||U^H a(theta_i)||^2 per grid column, dispatched on the SIMD
-/// backend: scalar runs the untouched legacy CMatrix kernels, vector
-/// backends the bit-identical SoA twins.
+/// ||U^H a(theta_i)||^2 per grid column, on the active SIMD backend.
 std::vector<double> subspace_projection_norms(
     const linalg::CMatrix& u, const SteeringManifold& manifold) {
   namespace simd = linalg::simd;
-  if (simd::active_backend() == simd::Backend::kScalar) {
-    return linalg::column_squared_norms(
-        linalg::matmul_hermitian_left(u, manifold.matrix()));
-  }
   return simd::column_squared_norms(
       simd::matmul_hermitian_left(u, manifold.soa()));
 }

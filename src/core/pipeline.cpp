@@ -409,6 +409,29 @@ void DWatchPipeline::note_reports_dropped(std::size_t count) {
   if (obs::enabled()) PipelineCounters::get().reports_dropped.inc(count);
 }
 
+void DWatchPipeline::count_observation(bool has_baseline,
+                                       std::size_t num_snapshots,
+                                       std::size_t num_drops) {
+  const bool enabled = obs::enabled();
+  if (!has_baseline) {
+    ++stats_.observations_skipped;
+    ++epoch_.observations_skipped;
+    if (enabled) PipelineCounters::get().observations_skipped.inc();
+    return;
+  }
+  ++stats_.observations;
+  ++epoch_.observations;
+  if (enabled) PipelineCounters::get().observations.inc();
+  if (num_snapshots < options_.degraded.min_snapshots) {
+    ++stats_.low_snapshot_observations;
+    ++epoch_.low_snapshot_observations;
+    if (enabled) PipelineCounters::get().low_snapshot_observations.inc();
+  }
+  stats_.drops_detected += num_drops;
+  epoch_.drops_detected += num_drops;
+  if (enabled) PipelineCounters::get().drops_detected.inc(num_drops);
+}
+
 std::vector<PathDrop> DWatchPipeline::detect_drops(
     std::size_t array_idx, const rfid::Epc96& epc,
     const AngularSpectrum& baseline, const linalg::CMatrix& snapshots) const {
@@ -556,23 +579,9 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   check_array(array_idx);
   const auto it = baselines_[array_idx].find(epc);
   if (it == baselines_[array_idx].end()) {
-    ++stats_.observations_skipped;
-    ++epoch_.observations_skipped;
-    if (obs::enabled()) PipelineCounters::get().observations_skipped.inc();
+    count_observation(false, snapshots.cols(), 0);
     return 0;
   }
-  ++stats_.observations;
-  ++epoch_.observations;
-  if (obs::enabled()) PipelineCounters::get().observations.inc();
-  if (snapshots.cols() < options_.degraded.min_snapshots) {
-    ++stats_.low_snapshot_observations;
-    ++epoch_.low_snapshot_observations;
-    if (obs::enabled()) {
-      PipelineCounters::get().low_snapshot_observations.inc();
-    }
-  }
-  accumulate_rss(array_idx, epc, phase_coherence(snapshots),
-                 mean_power(snapshots));
   const bool streaming = options_.streaming.enabled;
   if (streaming && converged_) {
     ++streaming_stats_.post_convergence_observations;
@@ -580,11 +589,9 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   std::vector<PathDrop> drops =
       streaming ? detect_drops_streaming(array_idx, epc, it->second, snapshots)
                 : detect_drops(array_idx, epc, it->second, snapshots);
-  stats_.drops_detected += drops.size();
-  epoch_.drops_detected += drops.size();
-  if (obs::enabled()) {
-    PipelineCounters::get().drops_detected.inc(drops.size());
-  }
+  count_observation(true, snapshots.cols(), drops.size());
+  accumulate_rss(array_idx, epc, phase_coherence(snapshots),
+                 mean_power(snapshots));
   auto& sink = evidence_[array_idx].drops;
   if (streaming) {
     // The streamed spectrum covers ALL of this tag's snapshots so far,
@@ -657,30 +664,12 @@ std::size_t DWatchPipeline::observe_batch(
   for (std::size_t slot = 0; slot < batch.size(); ++slot) {
     const ItemResult& r = results[slot];
     const BatchObservation& item = batch[order[slot]];
-    if (!r.has_baseline) {
-      ++stats_.observations_skipped;
-      ++epoch_.observations_skipped;
-      if (obs::enabled()) PipelineCounters::get().observations_skipped.inc();
-      continue;
-    }
-    ++stats_.observations;
-    ++epoch_.observations;
-    if (obs::enabled()) PipelineCounters::get().observations.inc();
-    if (item.snapshots.cols() < options_.degraded.min_snapshots) {
-      ++stats_.low_snapshot_observations;
-      ++epoch_.low_snapshot_observations;
-      if (obs::enabled()) {
-        PipelineCounters::get().low_snapshot_observations.inc();
-      }
-    }
-    // Same call site the serial observe() loop hits, in the same sorted
-    // order, so RSS links and phase health are bit-identical too.
+    // Same bookkeeping, in the same order, as the serial observe() loop,
+    // so counters, RSS links and phase health are bit-identical too.
+    count_observation(r.has_baseline, item.snapshots.cols(),
+                      r.drops.size());
+    if (!r.has_baseline) continue;
     accumulate_rss(item.array_idx, item.epc, r.coherence, r.online_power);
-    stats_.drops_detected += r.drops.size();
-    epoch_.drops_detected += r.drops.size();
-    if (obs::enabled()) {
-      PipelineCounters::get().drops_detected.inc(r.drops.size());
-    }
     auto& sink = evidence_[item.array_idx].drops;
     sink.insert(sink.end(), r.drops.begin(), r.drops.end());
     total += r.drops.size();

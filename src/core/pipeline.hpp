@@ -452,6 +452,13 @@ class DWatchPipeline {
       const linalg::CMatrix& snapshots) const;
   void check_array(std::size_t array_idx) const;
 
+  /// Counts one observation in stats_, epoch_ and the obs counter
+  /// twins: skipped when the tag has no baseline, otherwise observed,
+  /// low-snapshot (below degraded.min_snapshots) and its drops. The one
+  /// counting site for both observe() and the observe_batch() merge.
+  void count_observation(bool has_baseline, std::size_t num_snapshots,
+                         std::size_t num_drops);
+
   /// Per-epoch RSS bookkeeping for one observation with a stored
   /// baseline: coherence sampling plus (when the tag is surveyed and a
   /// baseline power exists) the link drop. Shared by observe() and the

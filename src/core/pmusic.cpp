@@ -37,13 +37,10 @@ AngularSpectrum PMusicEstimator::power_spectrum(
   // a^H R a / M^2 == E[ |sum_m x_m e^{+j omega}|^2 ] / M^2: the
   // alignment weight e^{+j omega(m,theta)} is conj(a_m), so the sum is
   // a^H x and its mean square is a^H R a. Batched over all grid columns
-  // of the cached manifold; vector backends take the bit-identical SoA
-  // kernel (delay-and-sum is the hottest kernel in the fix path).
-  namespace simd = linalg::simd;
+  // of the cached manifold (delay-and-sum is the hottest kernel in the
+  // fix path).
   const std::vector<double> quad =
-      simd::active_backend() == simd::Backend::kScalar
-          ? linalg::batched_quadratic_form(r, manifold->matrix())
-          : simd::batched_quadratic_form(r, manifold->soa());
+      linalg::simd::batched_quadratic_form(r, manifold->soa());
   AngularSpectrum pb(options_.music.grid_points);
   for (std::size_t i = 0; i < pb.size(); ++i) {
     pb[i] = std::max(quad[i], 0.0) / static_cast<double>(m * m);

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "linalg/simd_kernels.hpp"
 #include "rf/array.hpp"
 
 namespace dwatch::core {
@@ -15,18 +16,13 @@ SteeringManifold::SteeringManifold(std::size_t elements, double spacing,
   if (spacing <= 0.0 || lambda <= 0.0) {
     throw std::invalid_argument("SteeringManifold: bad spacing/lambda");
   }
-  matrix_ = linalg::CMatrix(elements, grid_points);
+  soa_ = linalg::SplitComplexMatrix(elements, grid_points);
   for (std::size_t i = 0; i < grid_points; ++i) {
-    const double theta = rf::kPi * static_cast<double>(i) /
-                         static_cast<double>(grid_points - 1);
     const linalg::CVector a =
-        rf::steering_vector(elements, theta, spacing, lambda);
-    for (std::size_t m = 0; m < elements; ++m) {
-      matrix_(m, i) = a[m];
-    }
+        rf::steering_vector(elements, theta_at(i), spacing, lambda);
+    for (std::size_t m = 0; m < elements; ++m) soa_.set(m, i, a[m]);
   }
-  soa_ = linalg::SplitComplexMatrix::from_matrix(matrix_);
-  column_norms_ = linalg::column_squared_norms(matrix_);
+  column_norms_ = linalg::simd::column_squared_norms(soa_);
 }
 
 SteeringCache& SteeringCache::instance() {

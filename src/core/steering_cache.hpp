@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "core/spectrum.hpp"
-#include "linalg/complex_matrix.hpp"
 #include "linalg/soa_complex.hpp"
 
 namespace dwatch::core {
@@ -34,35 +33,27 @@ namespace dwatch::core {
 /// AngularSpectrum: column i is a(theta_i) for an `elements`-element ULA.
 class SteeringManifold {
  public:
-  /// Builds the full M x G matrix eagerly. Throws std::invalid_argument
+  /// Builds the full M x G manifold eagerly. Throws std::invalid_argument
   /// on elements < 1, grid_points < 2 or non-positive spacing/lambda.
   SteeringManifold(std::size_t elements, double spacing, double lambda,
                    std::size_t grid_points);
 
-  [[nodiscard]] std::size_t elements() const noexcept {
-    return matrix_.rows();
-  }
+  [[nodiscard]] std::size_t elements() const noexcept { return soa_.rows(); }
   [[nodiscard]] std::size_t grid_points() const noexcept {
-    return matrix_.cols();
+    return soa_.cols();
   }
   [[nodiscard]] double spacing() const noexcept { return spacing_; }
   [[nodiscard]] double lambda() const noexcept { return lambda_; }
 
-  /// The manifold A: elements x grid_points, column i = a(theta_at(i)).
-  [[nodiscard]] const linalg::CMatrix& matrix() const noexcept {
-    return matrix_;
-  }
-
-  /// The same manifold in split re/im (SoA) layout for the SIMD
-  /// kernels; built once alongside matrix(), identical values.
+  /// The manifold A in split re/im (SoA) layout for the SIMD kernels:
+  /// elements x grid_points, column i = a(theta_at(i)).
   [[nodiscard]] const linalg::SplitComplexMatrix& soa() const noexcept {
     return soa_;
   }
 
-  /// ||a(theta_i)||^2 per grid column, precomputed with the scalar
-  /// oracle. The truncated-EVD spectrum path subtracts the signal
-  /// projection from these (complement identity) instead of forming
-  /// the noise subspace.
+  /// ||a(theta_i)||^2 per grid column, precomputed once. The
+  /// truncated-EVD spectrum path subtracts the signal projection from
+  /// these (complement identity) instead of forming the noise subspace.
   [[nodiscard]] const std::vector<double>& column_norms() const noexcept {
     return column_norms_;
   }
@@ -71,13 +62,12 @@ class SteeringManifold {
   /// a spectrum of the same size).
   [[nodiscard]] double theta_at(std::size_t i) const noexcept {
     return rf::kPi * static_cast<double>(i) /
-           static_cast<double>(matrix_.cols() - 1);
+           static_cast<double>(soa_.cols() - 1);
   }
 
  private:
   double spacing_;
   double lambda_;
-  linalg::CMatrix matrix_;
   linalg::SplitComplexMatrix soa_;
   std::vector<double> column_norms_;
 };

@@ -69,26 +69,8 @@ void IncrementalCovariance::accumulate(const linalg::CMatrix& snapshots) {
   if (snapshots.cols() == 0) {
     throw std::invalid_argument("IncrementalCovariance: empty chunk");
   }
-  namespace simd = linalg::simd;
-  if (simd::active_backend() != simd::Backend::kScalar) {
-    simd::accumulate_outer_products(
-        linalg::SplitComplexMatrix::from_matrix_transposed(snapshots), sum_);
-  } else {
-    // Scalar backend: replay the legacy complex-op chain of
-    // core::sample_correlation, resuming each (i, j) partial sum from
-    // the accumulator (x * conj(w) rounds identically to the SoA
-    // kernel's decomposition; see simd_detail.hpp).
-    const std::size_t n = snapshots.cols();
-    for (std::size_t i = 0; i < m_; ++i) {
-      for (std::size_t j = 0; j < m_; ++j) {
-        linalg::Complex sum = sum_.at(i, j);
-        for (std::size_t k = 0; k < n; ++k) {
-          sum += snapshots(i, k) * std::conj(snapshots(j, k));
-        }
-        sum_.set(i, j, sum);
-      }
-    }
-  }
+  linalg::simd::accumulate_outer_products(
+      linalg::SplitComplexMatrix::from_matrix_transposed(snapshots), sum_);
   num_snapshots_ += snapshots.cols();
 }
 

@@ -312,42 +312,6 @@ CMatrix matmul_hermitian_left(const CMatrix& a, const CMatrix& c) {
   return out;
 }
 
-std::vector<double> batched_quadratic_form(const CMatrix& r,
-                                           const CMatrix& a) {
-  if (r.rows() != r.cols() || r.rows() != a.rows()) {
-    throw std::invalid_argument("batched_quadratic_form: dimension mismatch");
-  }
-  const std::size_t m = r.rows();
-  const std::size_t g = a.cols();
-  std::vector<double> out(g);
-  std::vector<Complex> y(m);  // y = R a_i, reused across columns
-  for (std::size_t i = 0; i < g; ++i) {
-    for (std::size_t row = 0; row < m; ++row) {
-      Complex sum{};
-      for (std::size_t col = 0; col < m; ++col) {
-        sum += r(row, col) * a(col, i);
-      }
-      y[row] = sum;
-    }
-    Complex quad{};
-    for (std::size_t row = 0; row < m; ++row) {
-      quad += std::conj(a(row, i)) * y[row];
-    }
-    out[i] = quad.real();
-  }
-  return out;
-}
-
-std::vector<double> column_squared_norms(const CMatrix& a) {
-  std::vector<double> out(a.cols(), 0.0);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      out[c] += std::norm(a(r, c));
-    }
-  }
-  return out;
-}
-
 CVector matvec_hermitian(const CMatrix& a, const CVector& x) {
   if (a.rows() != x.size()) {
     throw std::invalid_argument("matvec_hermitian: dimension mismatch");

@@ -216,15 +216,4 @@ class CVector {
 [[nodiscard]] CMatrix matmul_hermitian_left(const CMatrix& a,
                                             const CMatrix& c);
 
-/// Batched Hermitian quadratic form: q_i = Re(a_i^H R a_i) for every
-/// column a_i of A. R is m x m, A is m x G; result has G entries. For
-/// Hermitian R the quadratic form is real up to rounding, so only the
-/// real part is returned (the beamforming power of paper Eq. 13).
-/// Throws std::invalid_argument on dimension mismatch.
-[[nodiscard]] std::vector<double> batched_quadratic_form(const CMatrix& r,
-                                                         const CMatrix& a);
-
-/// Squared Euclidean norm of every column of A: n_j = sum_i |a_ij|^2.
-[[nodiscard]] std::vector<double> column_squared_norms(const CMatrix& a);
-
 }  // namespace dwatch::linalg

@@ -43,8 +43,9 @@ namespace dwatch::linalg::simd::detail {
 // so conj-multiplies can be written FMA-free with plain mul/add/sub in
 // the order below and still match libstdc++'s complex operator*.
 
-/// out[g] = Re(a_g^H R a_g), lanes [g0, g1). Mirrors
-/// linalg::batched_quadratic_form: y = R a_g accumulated col-inner,
+/// out[g] = Re(a_g^H R a_g), lanes [g0, g1). Mirrors the legacy
+/// CMatrix loop (now the test oracle batched_quadratic_form_oracle in
+/// tests/linalg/simd_kernels_test.cpp): y = R a_g accumulated col-inner,
 /// then quad += conj(a(row)) * y[row] row-by-row (fused here — y[row]
 /// does not depend on later rows, so fusing preserves every bit).
 inline void batched_quadratic_form_lanes(const CMatrix& r,
@@ -109,9 +110,9 @@ inline void matmul_hermitian_left_lanes(const CMatrix& u,
   }
 }
 
-/// out[g] = sum_r |a(r,g)|^2, lanes [g0, g1). Mirrors
-/// linalg::column_squared_norms (row-outer accumulation; std::norm is
-/// re*re + im*im).
+/// out[g] = sum_r |a(r,g)|^2, lanes [g0, g1). Mirrors the legacy
+/// CMatrix loop (test oracle column_squared_norms_oracle; row-outer
+/// accumulation; std::norm is re*re + im*im).
 inline void column_squared_norms_lanes(const SplitComplexMatrix& a,
                                        std::size_t g0, std::size_t g1,
                                        double* out) {
@@ -126,8 +127,9 @@ inline void column_squared_norms_lanes(const SplitComplexMatrix& a,
 }
 
 /// out(i, j) for j in [j0, j1), all i. `xt` is the transposed snapshot
-/// matrix (rows = snapshots k, cols = elements). Mirrors
-/// core::sample_correlation: sum_k x(i,k) * conj(x(j,k)), then one
+/// matrix (rows = snapshots k, cols = elements). Mirrors the legacy
+/// core::sample_correlation loop (test oracle
+/// sample_correlation_oracle): sum_k x(i,k) * conj(x(j,k)), then one
 /// componentwise divide by N.
 inline void sample_correlation_lanes(const SplitComplexMatrix& xt,
                                      std::size_t j0, std::size_t j1,

@@ -2,8 +2,8 @@
 //
 // Selection is resolved once (relaxed-atomic memo) so the hot path pays
 // one load + switch. The env override exists for operators chasing a
-// suspected kernel bug in the field: DWATCH_SIMD=off reruns the exact
-// legacy scalar path with zero rebuild.
+// suspected kernel bug in the field: DWATCH_SIMD=off reruns every kernel
+// on the scalar `_lanes` path (bit-identical) with zero rebuild.
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>

@@ -1,11 +1,13 @@
 // Runtime-dispatched SIMD kernels for the spectral hot path.
 //
-// The scalar kernels in complex_matrix.cpp / covariance.cpp stay exactly
-// as they are — they are the ORACLE. This layer provides vectorized
-// twins that operate on the SoA layout (soa_complex.hpp) and promise:
+// Every spectral kernel lives here once, on the SoA layout
+// (soa_complex.hpp). The scalar backend runs the lane-exact `_lanes`
+// kernels of simd_detail.hpp; AVX2/NEON run vectorized twins. The
+// legacy std::complex loops they replaced survive only as frozen
+// oracles in tests/linalg/simd_kernels_test.cpp. The layer promises:
 //
 //   bit-identical parity: for finite inputs, every kernel here returns
-//   the same bits as its scalar oracle, on every backend. The trick is
+//   the same bits as its legacy oracle, on every backend. The trick is
 //   lane parallelism across INDEPENDENT outputs (grid columns of the
 //   manifold, entries of a covariance row): each SIMD lane replays the
 //   oracle's accumulation order exactly, so no reassociation happens —
@@ -24,10 +26,8 @@
 // -DDWATCH_SIMD=OFF (CMake) removes the vector code paths entirely and
 // pins the backend to scalar.
 //
-// Call sites in core/ branch on active_backend(): the scalar backend
-// routes through the UNTOUCHED legacy CMatrix code (so a SIMD-off build
-// or DWATCH_SIMD=off run executes byte-for-byte the pre-SIMD hot path),
-// while vector backends take the SoA kernels below.
+// Call sites in core/ call the entry points below unconditionally; only
+// the dispatch switch inside each one looks at active_backend().
 #pragma once
 
 #include <cstddef>
@@ -73,7 +73,7 @@ void publish_backend();
 
 /// q_i = Re(a_i^H R a_i) for every manifold column a_i (P-MUSIC Eq. 13
 /// delay-and-sum power). R is m x m interleaved, `a` is the m x G SoA
-/// manifold. Bit-identical to linalg::batched_quadratic_form.
+/// manifold. Bit-identical to the legacy CMatrix loop.
 [[nodiscard]] std::vector<double> batched_quadratic_form(
     const CMatrix& r, const SplitComplexMatrix& a);
 
@@ -84,15 +84,15 @@ void publish_backend();
 [[nodiscard]] SplitComplexMatrix matmul_hermitian_left(
     const CMatrix& u, const SplitComplexMatrix& c);
 
-/// n_j = sum_i |a_ij|^2 per SoA column. Bit-identical to
-/// linalg::column_squared_norms.
+/// n_j = sum_i |a_ij|^2 per SoA column. Bit-identical to the legacy
+/// CMatrix loop.
 [[nodiscard]] std::vector<double> column_squared_norms(
     const SplitComplexMatrix& a);
 
 /// R = X X^H / N from a TRANSPOSED SoA snapshot matrix (rows =
 /// snapshots, cols = array elements; see from_matrix_transposed).
-/// Bit-identical to core::sample_correlation on the untransposed
-/// matrix.
+/// Bit-identical to the legacy core::sample_correlation loop on the
+/// untransposed matrix.
 [[nodiscard]] CMatrix sample_correlation(const SplitComplexMatrix& xt);
 
 /// acc += X X^H from a TRANSPOSED SoA snapshot chunk (rows = snapshots,

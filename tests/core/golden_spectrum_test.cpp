@@ -1,6 +1,9 @@
 // Golden-spectrum regression: fixed-seed MUSIC and P-MUSIC spectra for
 // 4- and 8-element arrays, compared sample-by-sample against checked-in
-// reference data with a 1e-9 drift budget.
+// reference data with a 1e-9 drift budget. Every spectrum is computed
+// on both the scalar backend and the detected SIMD backend, which must
+// agree bit for bit; this is the test that drives the scalar kernels
+// through MusicEstimator and PMusicEstimator.
 //
 // The point is to pin the NUMERICS: an eigensolver tweak, a correlation
 // refactor, or an optimization pass that silently shifts spectra by more
@@ -18,6 +21,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "core/music.hpp"
 #include "core/pmusic.hpp"
 #include "linalg/complex_matrix.hpp"
+#include "linalg/simd_kernels.hpp"
 #include "rf/constants.hpp"
 
 namespace dwatch::core {
@@ -118,22 +123,56 @@ void check_against_golden(const std::string& name,
       << golden[worst_idx] << " vs computed " << spectrum[worst_idx];
 }
 
+/// Forces a SIMD backend for one scope, restoring the unforced state.
+struct ScopedBackend {
+  explicit ScopedBackend(linalg::simd::Backend b) {
+    linalg::simd::set_backend_override(b);
+  }
+  ~ScopedBackend() { linalg::simd::clear_backend_override(); }
+};
+
+/// Computes `spectrum_of()` on the scalar backend and on the detected
+/// one, asserts the two are bit-identical, and checks each against the
+/// golden file `name`.
+template <typename Fn>
+void check_on_both_backends(const std::string& name, Fn&& spectrum_of) {
+  namespace simd = linalg::simd;
+  const simd::Backend backends[2] = {simd::Backend::kScalar,
+                                     simd::detected_backend()};
+  std::vector<AngularSpectrum> spectra;
+  for (const simd::Backend backend : backends) {
+    const ScopedBackend scope(backend);
+    spectra.push_back(spectrum_of());
+  }
+  ASSERT_EQ(spectra[0].size(), spectra[1].size());
+  EXPECT_EQ(std::memcmp(spectra[0].values().data(),
+                        spectra[1].values().data(),
+                        spectra[0].size() * sizeof(double)),
+            0)
+      << name << ": scalar and " << simd::backend_name(backends[1])
+      << " spectra differ";
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(simd::backend_name(backends[i]));
+    check_against_golden(name, spectra[i]);
+  }
+}
+
 class GoldenSpectrum : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GoldenSpectrum, MusicSpectrumIsStable) {
   const std::size_t m = GetParam();
   const MusicEstimator music(kSpacing, kLambda);
-  const MusicResult result =
-      music.estimate(golden_snapshots(m, 0xD0A0 + m));
-  check_against_golden("music" + std::to_string(m), result.spectrum);
+  check_on_both_backends("music" + std::to_string(m), [&] {
+    return music.estimate(golden_snapshots(m, 0xD0A0 + m)).spectrum;
+  });
 }
 
 TEST_P(GoldenSpectrum, PMusicSpectrumIsStable) {
   const std::size_t m = GetParam();
   const PMusicEstimator pmusic(kSpacing, kLambda);
-  const PMusicResult result =
-      pmusic.estimate(golden_snapshots(m, 0xD0A0 + m));
-  check_against_golden("pmusic" + std::to_string(m), result.omega);
+  check_on_both_backends("pmusic" + std::to_string(m), [&] {
+    return pmusic.estimate(golden_snapshots(m, 0xD0A0 + m)).omega;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Arrays, GoldenSpectrum, ::testing::Values(4, 8),

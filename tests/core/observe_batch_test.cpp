@@ -126,7 +126,16 @@ void expect_identical_evidence(const std::vector<AngularEvidence>& got,
 }
 
 TEST(ObserveBatch, MatchesSerialObserveLoopForEveryWorkerCount) {
-  const std::vector<BatchObservation> batch = make_batch();
+  std::vector<BatchObservation> batch = make_batch();
+  // One observation below degraded.min_snapshots, so the low-snapshot
+  // counter is checked on both paths too.
+  BatchObservation sparse;
+  sparse.array_idx = 1;
+  sparse.epc = rfid::Epc96::for_tag_index(0);
+  sparse.snapshots = synth(two_arrays()[1], tag_angles(1, 0), {0.02, 0.012},
+                           {0.15, 1.0}, 777)
+                         .block(0, 0, 8, 4);
+  batch.push_back(std::move(sparse));
 
   // Serial reference: observe() one by one in the batch's deterministic
   // merge order (array index, then EPC, then input position).
@@ -145,6 +154,8 @@ TEST(ObserveBatch, MatchesSerialObserveLoopForEveryWorkerCount) {
                                          batch[i].snapshots);
   }
   ASSERT_GT(reference_drops, 0u) << "fixture produced no drops";
+  ASSERT_EQ(reference.stats().low_snapshot_observations, 1u);
+  ASSERT_EQ(reference.stats().observations_skipped, 1u);
   const auto ref_evidence = reference.evidence();
   const auto ref_filtered = reference.filtered_evidence();
   const LocationEstimate ref_fix = reference.localize_best_effort();
@@ -166,12 +177,8 @@ TEST(ObserveBatch, MatchesSerialObserveLoopForEveryWorkerCount) {
     EXPECT_EQ(fix.likelihood, ref_fix.likelihood) << label;
     EXPECT_EQ(fix.consensus, ref_fix.consensus) << label;
     EXPECT_EQ(fix.valid, ref_fix.valid) << label;
-    EXPECT_EQ(pipe.stats().observations, reference.stats().observations)
-        << label;
-    EXPECT_EQ(pipe.stats().observations_skipped,
-              reference.stats().observations_skipped)
-        << label;
-    EXPECT_EQ(pipe.stats().drops_detected, reference.stats().drops_detected)
+    EXPECT_EQ(pipe.stats(), reference.stats()) << label;
+    EXPECT_EQ(pipe.confidence_report(), reference.confidence_report())
         << label;
   }
 }

@@ -50,7 +50,7 @@ TEST(SteeringManifold, MatchesSteeringVectorExactly) {
     const linalg::CVector a =
         rf::steering_vector(8, manifold.theta_at(i), kSpacing, kLambda);
     for (std::size_t m = 0; m < 8; ++m) {
-      EXPECT_EQ(manifold.matrix()(m, i), a[m])
+      EXPECT_EQ(manifold.soa().at(m, i), a[m])
           << "element " << m << " grid " << i;
     }
   }

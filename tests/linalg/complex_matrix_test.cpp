@@ -242,7 +242,7 @@ TEST(MatvecHermitian, EqualsExplicitHermitianProduct) {
 }
 
 namespace {
-/// Deterministic pseudo-random fill shared by the batched-kernel tests.
+/// Deterministic pseudo-random fill.
 CMatrix pseudo_random(std::size_t rows, std::size_t cols, double seed) {
   CMatrix m(rows, cols);
   double v = seed;
@@ -266,38 +266,6 @@ TEST(MatmulHermitianLeft, EqualsExplicitHermitianProduct) {
   EXPECT_NEAR(fast.max_abs_diff(reference), 0.0, 1e-13);
   EXPECT_THROW((void)matmul_hermitian_left(a, pseudo_random(7, 3, 0.1)),
                std::invalid_argument);
-}
-
-TEST(BatchedQuadraticForm, EqualsPerColumnMatvecInnerProduct) {
-  // Hermitian R as in a sample correlation, and a steering-like A.
-  const CMatrix x = pseudo_random(6, 6, 0.45);
-  const CMatrix r = x * x.hermitian();
-  const CMatrix a = pseudo_random(6, 9, 0.85);
-  const std::vector<double> quad = batched_quadratic_form(r, a);
-  ASSERT_EQ(quad.size(), 9u);
-  for (std::size_t i = 0; i < quad.size(); ++i) {
-    CVector col(r.rows());
-    for (std::size_t m = 0; m < r.rows(); ++m) col[m] = a(m, i);
-    const double reference = inner_product(col, matvec(r, col)).real();
-    EXPECT_NEAR(quad[i], reference, 1e-12 * std::max(1.0, reference))
-        << "column " << i;
-  }
-  EXPECT_THROW((void)batched_quadratic_form(r, pseudo_random(5, 2, 0.2)),
-               std::invalid_argument);
-  EXPECT_THROW((void)batched_quadratic_form(pseudo_random(2, 3, 0.2), a),
-               std::invalid_argument);
-}
-
-TEST(ColumnSquaredNorms, MatchesColumnNorms) {
-  const CMatrix a = pseudo_random(7, 4, 0.6);
-  const std::vector<double> norms = column_squared_norms(a);
-  ASSERT_EQ(norms.size(), 4u);
-  for (std::size_t i = 0; i < norms.size(); ++i) {
-    double reference = 0.0;
-    for (std::size_t m = 0; m < a.rows(); ++m) reference += std::norm(a(m, i));
-    EXPECT_NEAR(norms[i], reference, 1e-13);
-  }
-  EXPECT_TRUE(column_squared_norms(CMatrix()).empty());
 }
 
 /// Property sweep: (A B)^H == B^H A^H across shapes.

@@ -1,6 +1,7 @@
 // Kernel-parity suite: the SIMD kernels promise BIT-IDENTICAL results
-// to the scalar oracles (simd_kernels.hpp) for finite inputs, on every
-// backend. The sweep covers M in {1..9, 16, 33} crossed with grid
+// to the legacy scalar loops (simd_kernels.hpp) for finite inputs, on
+// every backend. Those loops survive only here, frozen as test-local
+// oracles. The sweep covers M in {1..9, 16, 33} crossed with grid
 // widths that exercise every tail shape (G mod 4 in {0,1,2,3}, G
 // smaller than one vector, and the production G = 361), and asserts
 // 0-ULP equality by comparing raw bit patterns — EXPECT_EQ on doubles
@@ -80,13 +81,50 @@ std::vector<Backend> backends_under_test() {
 constexpr std::size_t kElementCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33};
 constexpr std::size_t kGridWidths[] = {1, 2, 3, 4, 5, 7, 8, 31, 361};
 
+// ---- frozen test-local oracles: the legacy CMatrix kernels ----
+
+/// q_i = Re(a_i^H R a_i): y = R a_i accumulated col-inner, then a_i^H y.
+std::vector<double> batched_quadratic_form_oracle(const CMatrix& r,
+                                                  const CMatrix& a) {
+  const std::size_t m = r.rows();
+  const std::size_t g = a.cols();
+  std::vector<double> out(g);
+  std::vector<Complex> y(m);  // y = R a_i, reused across columns
+  for (std::size_t i = 0; i < g; ++i) {
+    for (std::size_t row = 0; row < m; ++row) {
+      Complex sum{};
+      for (std::size_t col = 0; col < m; ++col) {
+        sum += r(row, col) * a(col, i);
+      }
+      y[row] = sum;
+    }
+    Complex quad{};
+    for (std::size_t row = 0; row < m; ++row) {
+      quad += std::conj(a(row, i)) * y[row];
+    }
+    out[i] = quad.real();
+  }
+  return out;
+}
+
+/// n_j = sum_i |a_ij|^2, row-outer accumulation.
+std::vector<double> column_squared_norms_oracle(const CMatrix& a) {
+  std::vector<double> out(a.cols(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      out[c] += std::norm(a(r, c));
+    }
+  }
+  return out;
+}
+
 TEST(SimdKernels, BatchedQuadraticFormMatchesOracleBitForBit) {
   for (const std::size_t m : kElementCounts) {
     for (const std::size_t g : kGridWidths) {
       const CMatrix r = random_matrix(m, m, 0xB0 + m * 1000 + g);
       const CMatrix a = random_matrix(m, g, 0xA0 + m * 1000 + g);
       const SplitComplexMatrix soa = SplitComplexMatrix::from_matrix(a);
-      const std::vector<double> oracle = linalg::batched_quadratic_form(r, a);
+      const std::vector<double> oracle = batched_quadratic_form_oracle(r, a);
       for (const Backend backend : backends_under_test()) {
         const ScopedBackend scope(backend);
         const std::vector<double> got = batched_quadratic_form(r, soa);
@@ -136,7 +174,7 @@ TEST(SimdKernels, ColumnSquaredNormsMatchesOracleBitForBit) {
     for (const std::size_t g : kGridWidths) {
       const CMatrix a = random_matrix(m, g, 0xE0 + m * 1000 + g);
       const SplitComplexMatrix soa = SplitComplexMatrix::from_matrix(a);
-      const std::vector<double> oracle = linalg::column_squared_norms(a);
+      const std::vector<double> oracle = column_squared_norms_oracle(a);
       for (const Backend backend : backends_under_test()) {
         const ScopedBackend scope(backend);
         const std::vector<double> got = column_squared_norms(soa);
