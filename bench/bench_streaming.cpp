@@ -288,8 +288,8 @@ void BM_StreamingGate(benchmark::State& state) {
   constexpr std::size_t kZoneCounts[] = {1, 4, 16};
   constexpr std::size_t kEpochs = 24;
   // Untimed epochs per service before sampling: the first epochs pay
-  // dense tracker resets and cold caches, and they do NOT pay them
-  // evenly across arms (a 1-zone service amortizes its cold start over
+  // cold caches (steering manifolds, allocations), and they do NOT pay
+  // them evenly across arms (a 1-zone service amortizes its cold start over
   // far fewer timed epochs than a 16-zone one). Without the warmup the
   // gate verdict rides on cold-start luck instead of steady state.
   constexpr std::size_t kWarmup = 2;

@@ -81,44 +81,6 @@ MusicResult MusicEstimator::estimate_from_correlation(
   return result;
 }
 
-MusicResult MusicEstimator::estimate_from_subspace(
-    const linalg::CMatrix& signal_subspace,
-    const std::vector<double>& eigenvalues, double trace,
-    std::size_t num_snapshots) const {
-  DWATCH_SPAN("music.tracked_spectrum");
-  const std::size_t l = signal_subspace.rows();
-  const std::size_t k = signal_subspace.cols();
-  if (l < 2 || k == 0 || k >= l || eigenvalues.size() != k) {
-    throw std::invalid_argument(
-        "MusicEstimator: bad tracked subspace dimensions");
-  }
-
-  // Same synthetic tail as try_truncated_estimate: the top K Ritz
-  // values are (near-)exact, the discarded mass is spread uniformly so
-  // its SUM stays exact for the source-count threshold rule.
-  std::vector<double> full = eigenvalues;
-  double extracted = 0.0;
-  for (const double v : full) extracted += v;
-  double tail =
-      std::max((trace - extracted) / static_cast<double>(l - k), 0.0);
-  tail = std::min(tail, full.back());
-  full.resize(l, tail);
-
-  SourceCountOptions sc = options_.source_count;
-  sc.num_snapshots = num_snapshots;
-  const std::size_t p = std::min(estimate_source_count(full, sc), k);
-
-  MusicResult out;
-  out.num_sources = p;
-  out.subarray = l;
-  out.eigenvalues = std::move(full);
-  out.signal_subspace = signal_subspace.block(0, 0, l, p);
-  out.noise_subspace = linalg::CMatrix{};  // never formed, as truncated
-  out.truncated = true;
-  out.spectrum = complement_spectrum(out.signal_subspace);
-  return out;
-}
-
 AngularSpectrum MusicEstimator::noise_spectrum(
     const linalg::CMatrix& noise_subspace) const {
   const std::shared_ptr<const SteeringManifold> manifold =

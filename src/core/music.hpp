@@ -84,21 +84,6 @@ class MusicEstimator {
   [[nodiscard]] MusicResult estimate_from_correlation(
       const linalg::CMatrix& r, std::size_t num_snapshots) const;
 
-  /// MUSIC from an externally tracked signal subspace (the streaming
-  /// path: core::SubspaceTracker maintains the basis across reports, so
-  /// no EVD runs here). `signal_subspace` is the L x K orthonormal
-  /// basis of the SMOOTHED correlation, `eigenvalues` its K Ritz values
-  /// (descending) and `trace` the smoothed matrix's trace — the missing
-  /// L-K noise eigenvalues are reconstructed as the uniform trace tail,
-  /// exactly like the truncated-EVD path, and the spectrum comes from
-  /// the same complement identity. The result carries truncated = true
-  /// and an empty noise_subspace. Throws std::invalid_argument unless
-  /// 2 <= L, 1 <= K < L and eigenvalues.size() == K.
-  [[nodiscard]] MusicResult estimate_from_subspace(
-      const linalg::CMatrix& signal_subspace,
-      const std::vector<double>& eigenvalues, double trace,
-      std::size_t num_snapshots) const;
-
   /// Spectrum value B(theta) for a given noise subspace (exposed for the
   /// calibration objective, which evaluates a(theta)^H Gamma^H U_N).
   /// Regenerates a(theta) per call; the estimate path instead uses the

@@ -254,7 +254,10 @@ PipelineState DWatchPipeline::export_state() const {
     state.excluded.push_back(e.excluded ? 1 : 0);
   }
   state.stats = stats_;
-  state.watermark_us = epoch_.watermark_us;
+  // The accepted-timestamp frontier, so begin_epoch(0) after restore()
+  // carries the same default watermark as an uninterrupted pipeline.
+  // Never below the epoch's own watermark (begin_epoch raised it).
+  state.watermark_us = max_seen_us_;
   return state;
 }
 
@@ -287,8 +290,7 @@ void DWatchPipeline::restore(const PipelineState& state) {
   epoch_.watermark_us = state.watermark_us;
   max_seen_us_ = state.watermark_us;
   // Streaming state is in-memory only (the DWCP v1 layout is frozen):
-  // drop accumulated covariances and tracked bases; trackers rebuild
-  // from the dense oracle on the first post-restore observation.
+  // drop the accumulated covariances of the discarded epoch.
   for (auto& per_array : streams_) per_array.clear();
   std::fill(stream_reports_.begin(), stream_reports_.end(), 0);
   last_estimate_ = LocationEstimate{};
@@ -296,30 +298,16 @@ void DWatchPipeline::restore(const PipelineState& state) {
   converged_ = false;
 }
 
-AngularSpectrum DWatchPipeline::compute_omega(
+linalg::CMatrix DWatchPipeline::calibrated(
     std::size_t array_idx, const linalg::CMatrix& snapshots) const {
-  const auto& array = arrays_[array_idx];
-  if (snapshots.rows() != array.num_elements()) {
+  if (snapshots.rows() != arrays_[array_idx].num_elements()) {
     throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
   }
   linalg::CMatrix x = snapshots;
   if (calibration_[array_idx]) {
     apply_phase_correction(x, *calibration_[array_idx]);
   }
-  return pmusic_[array_idx].estimate(x).omega;
-}
-
-AngularSpectrum DWatchPipeline::compute_online_power(
-    std::size_t array_idx, const linalg::CMatrix& snapshots) const {
-  const auto& array = arrays_[array_idx];
-  if (snapshots.rows() != array.num_elements()) {
-    throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
-  }
-  linalg::CMatrix x = snapshots;
-  if (calibration_[array_idx]) {
-    apply_phase_correction(x, *calibration_[array_idx]);
-  }
-  return pmusic_[array_idx].power_spectrum(sample_correlation(x));
+  return x;
 }
 
 void DWatchPipeline::add_baseline(std::size_t array_idx,
@@ -327,7 +315,8 @@ void DWatchPipeline::add_baseline(std::size_t array_idx,
                                   const linalg::CMatrix& snapshots) {
   check_array(array_idx);
   auto [it, inserted] = baselines_[array_idx].insert_or_assign(
-      epc, compute_omega(array_idx, snapshots));
+      epc,
+      pmusic_[array_idx].estimate(calibrated(array_idx, snapshots)).omega);
   if (inserted) ++stats_.baselines;
   // Calibration is phase-only, so the uncorrected magnitudes double as
   // the RSS fallback's per-link reference power.
@@ -353,15 +342,15 @@ void DWatchPipeline::begin_epoch(std::uint64_t watermark_us) {
   if (watermark_us == 0 && options_.degraded.reject_stale) {
     watermark_us = max_seen_us_;
   }
+  // The epoch's watermark is part of the frontier: export_state() can
+  // then carry the frontier in the one watermark field it has, and a
+  // restored pipeline's next begin_epoch(0) matches this one's.
+  max_seen_us_ = std::max(max_seen_us_, watermark_us);
   epoch_ = EpochState{};
   epoch_.watermark_us = watermark_us;
-  // Streaming per-epoch state: covariances restart (the epoch is the
-  // averaging window); trackers keep their basis across epochs — the
-  // warm start is the point of tracking.
-  if (options_.streaming.enabled) {
-    for (auto& per_array : streams_) {
-      for (auto& [epc, stream] : per_array) stream.cov.reset();
-    }
+  // Streaming covariances restart: the epoch is the averaging window.
+  for (auto& per_array : streams_) {
+    for (auto& [epc, cov] : per_array) cov.reset();
   }
   std::fill(stream_reports_.begin(), stream_reports_.end(), 0);
   last_estimate_ = LocationEstimate{};
@@ -409,8 +398,7 @@ void DWatchPipeline::note_reports_dropped(std::size_t count) {
   if (obs::enabled()) PipelineCounters::get().reports_dropped.inc(count);
 }
 
-void DWatchPipeline::count_observation(bool has_baseline,
-                                       std::size_t num_snapshots,
+void DWatchPipeline::count_observation(bool has_baseline, bool widened,
                                        std::size_t num_drops) {
   const bool enabled = obs::enabled();
   if (!has_baseline) {
@@ -422,7 +410,7 @@ void DWatchPipeline::count_observation(bool has_baseline,
   ++stats_.observations;
   ++epoch_.observations;
   if (enabled) PipelineCounters::get().observations.inc();
-  if (num_snapshots < options_.degraded.min_snapshots) {
+  if (widened) {
     ++stats_.low_snapshot_observations;
     ++epoch_.low_snapshot_observations;
     if (enabled) PipelineCounters::get().low_snapshot_observations.inc();
@@ -432,90 +420,26 @@ void DWatchPipeline::count_observation(bool has_baseline,
   if (enabled) PipelineCounters::get().drops_detected.inc(num_drops);
 }
 
-std::vector<PathDrop> DWatchPipeline::detect_drops(
+DWatchPipeline::Detection DWatchPipeline::detect(
     std::size_t array_idx, const rfid::Epc96& epc,
-    const AngularSpectrum& baseline, const linalg::CMatrix& snapshots) const {
-  // Baseline peak positions come from the P-MUSIC spectrum; the ONLINE
-  // power at those positions is read from the beamforming power spectrum
-  // PB, which is free of MUSIC's model-order jitter (a vanished weak
-  // MUSIC peak must not masquerade as a physical power drop). At a peak
-  // the two spectra share the same scale: Omega = PB * Nor(B) with
-  // Nor(B) == 1 there.
-  const AngularSpectrum online_power =
-      compute_online_power(array_idx, snapshots);
-  std::vector<PathDrop> drops = detector_.detect(baseline, online_power);
+    const AngularSpectrum& baseline, const linalg::CMatrix& r,
+    std::size_t num_snapshots) const {
+  // PB, not Omega: at a baseline peak both share the same scale
+  // (Omega = PB * Nor(B) with Nor(B) == 1 there), but Omega would
+  // manufacture phantom drops wherever the online MUSIC peaks shifted
+  // away from a baseline peak (Nor(B) < 1 there), and with thin
+  // evidence those phantoms outvote the real drops.
+  Detection out;
+  out.drops =
+      detector_.detect(baseline, pmusic_[array_idx].power_spectrum(r));
   // Degraded mode: a spectrum computed from too few snapshots carries a
   // less trustworthy peak angle — widen its localization kernel.
-  const bool low_snapshots =
-      snapshots.cols() < options_.degraded.min_snapshots;
-  for (PathDrop& d : drops) {
+  out.widened = num_snapshots < options_.degraded.min_snapshots;
+  for (PathDrop& d : out.drops) {
     d.source_id = epc.serial();
-    if (low_snapshots) d.sigma_scale = options_.degraded.sigma_widen;
+    if (out.widened) d.sigma_scale = options_.degraded.sigma_widen;
   }
-  return drops;
-}
-
-std::vector<PathDrop> DWatchPipeline::detect_drops_streaming(
-    std::size_t array_idx, const rfid::Epc96& epc,
-    const AngularSpectrum& baseline, const linalg::CMatrix& snapshots) {
-  DWATCH_SPAN("pipeline.streaming_observe");
-  const auto& array = arrays_[array_idx];
-  if (snapshots.rows() != array.num_elements()) {
-    throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
-  }
-  linalg::CMatrix x = snapshots;
-  if (calibration_[array_idx]) {
-    apply_phase_correction(x, *calibration_[array_idx]);
-  }
-
-  const std::size_t m = array.num_elements();
-  auto [it, inserted] = streams_[array_idx].try_emplace(
-      epc, StreamState{IncrementalCovariance(m),
-                       SubspaceTracker(options_.streaming.tracker)});
-  StreamState& stream = it->second;
-  stream.cov.accumulate(x);
-  ++stream_reports_[array_idx];
-  streaming_stats_.rank1_updates += x.cols();
-
-  // The EPOCH-accumulated correlation, not this report's: every new
-  // report sharpens the spectrum instead of standing alone, which is
-  // why the drops below REPLACE the tag's earlier evidence.
-  const linalg::CMatrix r = stream.cov.correlation();
-  // Mirror the batch smoothing choice (music.cpp): subarray 0 resolves
-  // to the default; L == M skips the smoother.
-  std::size_t l = options_.pmusic.music.subarray;
-  if (l == 0) l = default_subarray(m);
-  const linalg::CMatrix smoothed = l == m ? r : forward_backward_smooth(r, l);
-  const SubspaceUpdateResult upd = stream.tracker.update(smoothed);
-  if (upd.reset) ++streaming_stats_.tracker_resets;
-
-  // Full Omega = PB(R) * Nor(B) from the TRACKED basis — no dense EVD
-  // on the warm path. This is the streamed spectral product (parity
-  // contract vs the batch EVD lives in the tracker tests).
-  PMusicResult pm = pmusic_[array_idx].compose(
-      r, pmusic_[array_idx].music().estimate_from_subspace(
-             stream.tracker.subspace(), stream.tracker.eigenvalues(),
-             stream.tracker.trace(), stream.cov.num_snapshots()));
-  ++streaming_stats_.streamed_spectra;
-
-  // Drop detection mirrors the batch contract EXACTLY: the online
-  // power at the baseline peaks is read from the beamforming spectrum
-  // PB, never from Omega. Nor(B) < 1 wherever the ONLINE MUSIC peaks
-  // have shifted away from a baseline peak, so reading Omega there
-  // manufactures phantom drops out of model-order jitter — with thin
-  // evidence (few tags) those phantoms outvote the real drops and the
-  // likelihood argmax pins at the grid edge.
-  std::vector<PathDrop> drops = detector_.detect(baseline, pm.power);
-  // Degraded widening keys on the ACCUMULATED snapshot count: once the
-  // epoch has gathered enough columns for this tag, its angle is as
-  // trustworthy as a batch spectrum over the same data.
-  const bool low_snapshots =
-      stream.cov.num_snapshots() < options_.degraded.min_snapshots;
-  for (PathDrop& d : drops) {
-    d.source_id = epc.serial();
-    if (low_snapshots) d.sigma_scale = options_.degraded.sigma_widen;
-  }
-  return drops;
+  return out;
 }
 
 void DWatchPipeline::check_convergence() {
@@ -579,17 +503,37 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   check_array(array_idx);
   const auto it = baselines_[array_idx].find(epc);
   if (it == baselines_[array_idx].end()) {
-    count_observation(false, snapshots.cols(), 0);
+    count_observation(false, false, 0);
     return 0;
   }
   const bool streaming = options_.streaming.enabled;
   if (streaming && converged_) {
     ++streaming_stats_.post_convergence_observations;
   }
-  std::vector<PathDrop> drops =
-      streaming ? detect_drops_streaming(array_idx, epc, it->second, snapshots)
-                : detect_drops(array_idx, epc, it->second, snapshots);
-  count_observation(true, snapshots.cols(), drops.size());
+  const linalg::CMatrix x = calibrated(array_idx, snapshots);
+  Detection found;
+  if (streaming) {
+    DWATCH_SPAN("pipeline.streaming_observe");
+    // The EPOCH-accumulated correlation, not this report's: every new
+    // report sharpens the spectrum instead of standing alone, which is
+    // why the drops below REPLACE the tag's earlier evidence. Widening
+    // keys on the accumulated snapshot count too: once the epoch has
+    // gathered enough columns for this tag, its angle is as trustworthy
+    // as a batch spectrum over the same data.
+    IncrementalCovariance& cov =
+        streams_[array_idx].try_emplace(epc, x.rows()).first->second;
+    cov.accumulate(x);
+    ++stream_reports_[array_idx];
+    streaming_stats_.rank1_updates += x.cols();
+    ++streaming_stats_.streamed_spectra;
+    found = detect(array_idx, epc, it->second, cov.correlation(),
+                   cov.num_snapshots());
+  } else {
+    found = detect(array_idx, epc, it->second, sample_correlation(x),
+                   x.cols());
+  }
+  const std::vector<PathDrop>& drops = found.drops;
+  count_observation(true, found.widened, drops.size());
   accumulate_rss(array_idx, epc, phase_coherence(snapshots),
                  mean_power(snapshots));
   auto& sink = evidence_[array_idx].drops;
@@ -638,7 +582,7 @@ std::size_t DWatchPipeline::observe_batch(
   // is read-only during the scan.
   struct ItemResult {
     bool has_baseline = false;
-    std::vector<PathDrop> drops;
+    Detection found;
     double coherence = 0.0;
     double online_power = 0.0;
   };
@@ -650,8 +594,9 @@ std::size_t DWatchPipeline::observe_batch(
     results[slot].has_baseline = true;
     results[slot].coherence = phase_coherence(item.snapshots);
     results[slot].online_power = mean_power(item.snapshots);
-    results[slot].drops =
-        detect_drops(item.array_idx, item.epc, it->second, item.snapshots);
+    const linalg::CMatrix x = calibrated(item.array_idx, item.snapshots);
+    results[slot].found = detect(item.array_idx, item.epc, it->second,
+                                 sample_correlation(x), x.cols());
   };
   if (pool_ && pool_->num_workers() > 1) {
     pool_->parallel_for(batch.size(), process);
@@ -666,13 +611,13 @@ std::size_t DWatchPipeline::observe_batch(
     const BatchObservation& item = batch[order[slot]];
     // Same bookkeeping, in the same order, as the serial observe() loop,
     // so counters, RSS links and phase health are bit-identical too.
-    count_observation(r.has_baseline, item.snapshots.cols(),
-                      r.drops.size());
+    const std::vector<PathDrop>& drops = r.found.drops;
+    count_observation(r.has_baseline, r.found.widened, drops.size());
     if (!r.has_baseline) continue;
     accumulate_rss(item.array_idx, item.epc, r.coherence, r.online_power);
     auto& sink = evidence_[item.array_idx].drops;
-    sink.insert(sink.end(), r.drops.begin(), r.drops.end());
-    total += r.drops.size();
+    sink.insert(sink.end(), drops.begin(), drops.end());
+    total += drops.size();
   }
   return total;
 }

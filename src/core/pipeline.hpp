@@ -59,18 +59,16 @@ struct DegradedModeOptions {
 /// Streaming spectral mode (DESIGN.md §16). Off by default: the batch
 /// path stays byte-for-byte what it was. When enabled, each observe()
 /// folds its snapshots into a per-(array, tag) IncrementalCovariance,
-/// the P-MUSIC signal subspace is TRACKED across epochs
-/// (SubspaceTracker; dense EVD only on divergence/reset), and the
-/// epoch can seal EARLY: once the likelihood argmax has been stable
-/// for `convergence_window` consecutive checks the pipeline flags
+/// drops are detected on the epoch's ACCUMULATED correlation (each
+/// report's drops replace the tag's earlier ones), and the epoch can
+/// seal EARLY: once the likelihood argmax has been stable for
+/// `convergence_window` consecutive checks the pipeline flags
 /// early_fix_ready() so the serving layer can emit the fix mid-epoch.
 struct StreamingOptions {
   bool enabled = false;
-  /// Subspace tracker configuration (rank, refinement, divergence).
-  SubspaceTrackerOptions tracker;
   /// Early sealing on likelihood-grid convergence. Disable to keep the
-  /// incremental covariance/tracking path without mid-epoch fixes
-  /// (e.g. multi-target zones, where late evidence can still split the
+  /// incremental covariance path without mid-epoch fixes (e.g.
+  /// multi-target zones, where late evidence can still split the
   /// likelihood mass).
   bool early_seal = true;
   /// No convergence checks until EVERY healthy array has streamed at
@@ -100,8 +98,10 @@ struct StreamingOptions {
 /// DWCP v1 PipelineState — in-memory only, like the RSS references).
 struct StreamingStats {
   std::size_t rank1_updates = 0;    ///< snapshot columns accumulated
-  std::size_t streamed_spectra = 0; ///< online spectra via tracked basis
-  std::size_t tracker_resets = 0;   ///< dense-oracle fallbacks
+  std::size_t streamed_spectra = 0; ///< online spectra, accumulated R
+  /// Kept only because the serving benchmark reads it; nothing
+  /// increments it any more (the streaming path runs no EVD).
+  std::size_t tracker_resets = 0;
   std::size_t convergence_checks = 0;
   std::size_t early_seals = 0;      ///< epochs declared converged
   /// Observations that arrived after the epoch converged (the serving
@@ -194,7 +194,10 @@ struct PipelineState {
   /// Lifetime counters (per-epoch state is NOT long-lived: an epoch in
   /// flight when the process dies is simply lost, by design).
   PipelineStats stats;
-  /// The watermark of the last begun epoch.
+  /// The default-watermark frontier: the larger of the last begun
+  /// epoch's watermark and every accepted first_seen_us. restore()
+  /// reinstalls it as both, so begin_epoch(0) afterwards carries the
+  /// same watermark as a pipeline that never stopped.
   std::uint64_t watermark_us = 0;
 };
 
@@ -309,7 +312,8 @@ class DWatchPipeline {
   /// Reinstall a previously exported state. The pipeline must have been
   /// constructed with the same arrays/bounds/options; throws
   /// std::invalid_argument on an array-count or offset-size mismatch.
-  /// Any in-flight epoch is discarded (call begin_epoch afterwards).
+  /// Any in-flight epoch is discarded, streamed covariances included
+  /// (call begin_epoch afterwards).
   void restore(const PipelineState& state);
 
   /// Step 1 (baseline): store the empty-scene spectrum of (array, tag).
@@ -321,8 +325,9 @@ class DWatchPipeline {
   /// Begin a new online epoch (clears accumulated evidence and the
   /// per-epoch confidence counters). `watermark_us` is the reader-clock
   /// time the epoch started: wire observations timestamped before it
-  /// are rejected as stale when degraded.reject_stale is set (0 = no
-  /// staleness checking, the default).
+  /// are rejected as stale when degraded.reject_stale is set. 0 (the
+  /// default) carries the highest watermark or accepted first_seen_us
+  /// seen so far. Streamed covariances restart with every epoch.
   void begin_epoch(std::uint64_t watermark_us = 0);
 
   /// Degraded mode: flag an array unhealthy (reader unreachable, its
@@ -439,24 +444,40 @@ class DWatchPipeline {
   }
 
  private:
-  [[nodiscard]] AngularSpectrum compute_omega(
+  /// What detect() found for one observation.
+  struct Detection {
+    std::vector<PathDrop> drops;
+    /// The drops' kernel was widened: the correlation rests on fewer
+    /// than degraded.min_snapshots snapshot columns.
+    bool widened = false;
+  };
+
+  /// Row check, copy and phase calibration of one snapshot matrix: the
+  /// one pre-processing step (workflow step 2) shared by baselines and
+  /// both online paths.
+  [[nodiscard]] linalg::CMatrix calibrated(
       std::size_t array_idx, const linalg::CMatrix& snapshots) const;
-  [[nodiscard]] AngularSpectrum compute_online_power(
-      std::size_t array_idx, const linalg::CMatrix& snapshots) const;
-  /// Detection for one observation with a known baseline: online power
-  /// spectrum + drop detection, tagged with the EPC serial. Const and
-  /// side-effect free so batch items can run on any worker.
-  [[nodiscard]] std::vector<PathDrop> detect_drops(
-      std::size_t array_idx, const rfid::Epc96& epc,
-      const AngularSpectrum& baseline,
-      const linalg::CMatrix& snapshots) const;
+  /// Drop detection for one observation with a known baseline, on the
+  /// online correlation `r` over `num_snapshots` calibrated columns
+  /// (this report's in batch mode, the epoch's accumulated ones in
+  /// streaming mode). Baseline peak positions come from the P-MUSIC
+  /// spectrum; the ONLINE power at those positions is read from the
+  /// beamforming power spectrum PB, which is free of MUSIC's
+  /// model-order jitter. Const and side-effect free so batch items can
+  /// run on any worker.
+  [[nodiscard]] Detection detect(std::size_t array_idx,
+                                 const rfid::Epc96& epc,
+                                 const AngularSpectrum& baseline,
+                                 const linalg::CMatrix& r,
+                                 std::size_t num_snapshots) const;
   void check_array(std::size_t array_idx) const;
 
   /// Counts one observation in stats_, epoch_ and the obs counter
   /// twins: skipped when the tag has no baseline, otherwise observed,
-  /// low-snapshot (below degraded.min_snapshots) and its drops. The one
-  /// counting site for both observe() and the observe_batch() merge.
-  void count_observation(bool has_baseline, std::size_t num_snapshots,
+  /// low-snapshot (exactly when detect() widened its kernel) and its
+  /// drops. The one counting site for both observe() and the
+  /// observe_batch() merge.
+  void count_observation(bool has_baseline, bool widened,
                          std::size_t num_drops);
 
   /// Per-epoch RSS bookkeeping for one observation with a stored
@@ -467,13 +488,6 @@ class DWatchPipeline {
                       double coherence, double online_power);
   [[nodiscard]] std::vector<std::uint8_t> excluded_flags() const;
 
-  /// Streaming-mode detection for one observation: fold the calibrated
-  /// snapshots into the (array, tag) incremental covariance, refresh the
-  /// tracked subspace, and detect drops on the full Omega spectrum of
-  /// the ACCUMULATED covariance. Non-const (mutates the stream state).
-  [[nodiscard]] std::vector<PathDrop> detect_drops_streaming(
-      std::size_t array_idx, const rfid::Epc96& epc,
-      const AngularSpectrum& baseline, const linalg::CMatrix& snapshots);
   /// Run one convergence check after a streaming observation; flips
   /// converged_ once the fix has been stable long enough.
   void check_convergence();
@@ -516,14 +530,9 @@ class DWatchPipeline {
   EpochState epoch_;
 
   /// Streaming-path state (empty / inert unless options_.streaming is
-  /// enabled). Covariances reset per epoch; trackers persist across
-  /// epochs (that is the point of tracking) and are invalidated by
-  /// restore().
-  struct StreamState {
-    IncrementalCovariance cov;
-    SubspaceTracker tracker;
-  };
-  std::vector<std::map<rfid::Epc96, StreamState>> streams_;
+  /// enabled): one accumulated covariance per (array, tag), reset every
+  /// epoch and dropped by restore().
+  std::vector<std::map<rfid::Epc96, IncrementalCovariance>> streams_;
   /// Streamed observations per array this epoch (convergence gating).
   std::vector<std::size_t> stream_reports_;
   StreamingStats streaming_stats_;
@@ -531,10 +540,10 @@ class DWatchPipeline {
   LocationEstimate last_estimate_;
   std::size_t stable_checks_ = 0;
   bool converged_ = false;
-  /// Max first_seen_us accepted so far; carried into the next epoch as
-  /// the default watermark when begin_epoch(0) is called with staleness
-  /// rejection on (in-memory only, NOT checkpointed beyond the regular
-  /// watermark field).
+  /// Max of every begun epoch's watermark and every accepted
+  /// first_seen_us; carried into the next epoch as the default
+  /// watermark when begin_epoch(0) is called with staleness rejection
+  /// on. Checkpointed as PipelineState::watermark_us.
   std::uint64_t max_seen_us_ = 0;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "core/steering_cache.hpp"
@@ -57,13 +56,8 @@ PMusicResult PMusicEstimator::estimate(
 
 PMusicResult PMusicEstimator::estimate_from_correlation(
     const linalg::CMatrix& r, std::size_t num_snapshots) const {
-  return compose(r, music_.estimate_from_correlation(r, num_snapshots));
-}
-
-PMusicResult PMusicEstimator::compose(const linalg::CMatrix& r,
-                                      MusicResult music) const {
   PMusicResult result;
-  result.music = std::move(music);
+  result.music = music_.estimate_from_correlation(r, num_snapshots);
   result.power = power_spectrum(r);
   result.music_nor = normalize_peaks(result.music.spectrum, options_.peaks);
 

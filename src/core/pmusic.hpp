@@ -58,24 +58,10 @@ class PMusicEstimator {
   /// Full P-MUSIC from an M x N snapshot matrix.
   [[nodiscard]] PMusicResult estimate(const linalg::CMatrix& snapshots) const;
 
-  /// Full P-MUSIC from a precomputed M x M correlation (the streaming
-  /// path feeds the incrementally accumulated R here). estimate() is
+  /// Full P-MUSIC from a precomputed M x M correlation. estimate() is
   /// exactly this on sample_correlation(snapshots).
   [[nodiscard]] PMusicResult estimate_from_correlation(
       const linalg::CMatrix& r, std::size_t num_snapshots) const;
-
-  /// Compose Omega = PB(R) * Nor(B) from a correlation matrix and an
-  /// externally produced MUSIC result (the subspace-tracking path: B
-  /// came from MusicEstimator::estimate_from_subspace over the SAME
-  /// accumulated correlation, so no EVD runs per report).
-  [[nodiscard]] PMusicResult compose(const linalg::CMatrix& r,
-                                     MusicResult music) const;
-
-  /// The inner MUSIC estimator (streaming callers need its
-  /// estimate_from_subspace under this array's geometry).
-  [[nodiscard]] const MusicEstimator& music() const noexcept {
-    return music_;
-  }
 
   /// Beamforming power spectrum PB(theta) alone (Eq. 13), computed from
   /// the FULL (unsmoothed) correlation since power lives on the whole

@@ -1,25 +1,12 @@
-// Streaming spectral state (ROADMAP item 3, DESIGN.md §16): the pieces
-// that turn the per-epoch batch recompute into an incremental path.
-//
-//   IncrementalCovariance — per-(array, tag) rank-N accumulator: each
-//     incoming report extends the raw outer-product sum S = X X^H
-//     (no divide), so the correlation read back after any number of
-//     chunks is BIT-IDENTICAL to core::sample_correlation over the
-//     concatenated snapshots, on every SIMD backend.
-//
-//   SubspaceTracker — PAST/FAPI-style signal-subspace tracker: warm
-//     updates refine the previous epoch's basis with a few subspace
-//     iterations + Rayleigh-Ritz instead of re-deriving it with a full
-//     EVD. The dense EVD stays the ORACLE under a bounded-divergence
-//     contract: whenever the relative Ritz residual exceeds the
-//     tolerance (or the tracker is cold/invalidated/resized), it
-//     re-orthonormalizes by falling back to linalg::hermitian_eig —
-//     so a tracked spectrum is either within tolerance of the batch
-//     one or exactly the batch one.
+// Streaming spectral state (DESIGN.md §16): the per-(array, tag)
+// accumulator that turns the per-epoch batch recompute into an
+// incremental path. Each incoming report extends the raw outer-product
+// sum S = X X^H (no divide), so the correlation read back after any
+// number of chunks is BIT-IDENTICAL to core::sample_correlation over
+// the concatenated snapshots, on every SIMD backend.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "linalg/complex_matrix.hpp"
 #include "linalg/soa_complex.hpp"
@@ -59,76 +46,6 @@ class IncrementalCovariance {
   std::size_t num_snapshots_ = 0;
   /// Raw outer-product sum, SoA so the vector kernel updates in place.
   linalg::SplitComplexMatrix sum_;
-};
-
-struct SubspaceTrackerOptions {
-  /// Signal-subspace rank K to track (clamped to L-1 of the smoothed
-  /// correlation so a noise complement always exists).
-  std::size_t rank = 3;
-  /// Warm-update refinement sweeps (subspace iteration + MGS) before
-  /// the Rayleigh-Ritz rotation.
-  std::size_t refine_iterations = 2;
-  /// Divergence contract: relative Ritz residual
-  /// ||A U - U diag(ritz)||_F / ||A||_F above this forces a dense EVD
-  /// reset. Tight by default so a warm result is numerically
-  /// indistinguishable from the batch oracle.
-  double divergence_tolerance = 1e-9;
-};
-
-/// Outcome of one SubspaceTracker::update() call.
-struct SubspaceUpdateResult {
-  /// The dense EVD oracle ran (cold start, dimension change,
-  /// invalidate(), or divergence).
-  bool reset = false;
-  /// Relative Ritz residual after the update (0 on a dense reset —
-  /// the dense basis IS the oracle).
-  double residual = 0.0;
-};
-
-class SubspaceTracker {
- public:
-  /// Throws std::invalid_argument on rank == 0 or a non-positive
-  /// divergence tolerance.
-  explicit SubspaceTracker(SubspaceTrackerOptions options = {});
-
-  /// Track the dominant subspace of one Hermitian (smoothed)
-  /// correlation. Warm path: refine_iterations of Z = A U + modified
-  /// Gram-Schmidt, then a K x K Rayleigh-Ritz rotation. Falls back to
-  /// the dense EVD when cold, resized, invalidated, degenerate, or
-  /// past the divergence tolerance.
-  SubspaceUpdateResult update(const linalg::CMatrix& smoothed);
-
-  /// L x K orthonormal signal basis, Ritz-ordered descending.
-  [[nodiscard]] const linalg::CMatrix& subspace() const noexcept {
-    return u_;
-  }
-  /// Ritz values (descending), matching subspace() columns.
-  [[nodiscard]] const std::vector<double>& eigenvalues() const noexcept {
-    return eigenvalues_;
-  }
-  /// Trace of the last tracked matrix (for the synthetic noise tail).
-  [[nodiscard]] double trace() const noexcept { return trace_; }
-  /// Actual rank in use (options.rank clamped to L-1); 0 before the
-  /// first update.
-  [[nodiscard]] std::size_t rank() const noexcept { return u_.cols(); }
-  [[nodiscard]] std::size_t updates() const noexcept { return updates_; }
-  /// Dense-oracle fallbacks so far (cold start counts).
-  [[nodiscard]] std::size_t resets() const noexcept { return resets_; }
-
-  /// Force the next update() onto the dense oracle (divergence
-  /// injection for tests; also used after restore()).
-  void invalidate() noexcept { invalidated_ = true; }
-
- private:
-  void dense_reset(const linalg::CMatrix& a, std::size_t k);
-
-  SubspaceTrackerOptions options_;
-  linalg::CMatrix u_;
-  std::vector<double> eigenvalues_;
-  double trace_ = 0.0;
-  std::size_t updates_ = 0;
-  std::size_t resets_ = 0;
-  bool invalidated_ = true;
 };
 
 }  // namespace dwatch::core

@@ -74,16 +74,14 @@ void jacobi_rotate(CMatrix& a, CMatrix& v, std::size_t p, std::size_t q) {
 
 }  // namespace
 
-EigenDecomposition hermitian_eig(const CMatrix& input,
-                                 const JacobiOptions& opts) {
-  if (input.rows() != input.cols()) {
+EigenDecomposition hermitian_eig(CMatrix a, const JacobiOptions& opts) {
+  if (a.rows() != a.cols()) {
     throw std::invalid_argument("hermitian_eig: matrix not square");
   }
-  if (!input.is_hermitian(1e-8)) {
+  if (!a.is_hermitian(1e-8)) {
     throw std::invalid_argument("hermitian_eig: matrix not Hermitian");
   }
-  const std::size_t n = input.rows();
-  CMatrix a = input;
+  const std::size_t n = a.rows();
   // Symmetrize exactly to suppress tiny numerical asymmetry accumulation.
   for (std::size_t r = 0; r < n; ++r) {
     a(r, r) = Complex{a(r, r).real(), 0.0};

@@ -283,6 +283,47 @@ TEST(Pipeline, WireObservationPathWorks) {
   EXPECT_EQ(pipe.observe(0, online_obs), 1u);
 }
 
+TEST(Pipeline, RestoreCarriesTheDefaultWatermark) {
+  // An uninterrupted pipeline carries the highest accepted first_seen_us
+  // into begin_epoch(0); a pipeline restored from its export must carry
+  // the same frontier, or a retransmission slips past its stale gate.
+  const auto arrays = two_arrays();
+  const auto epc = rfid::Epc96::for_tag_index(4);
+  const std::vector<double> angles{rf::deg2rad(70)};
+  const std::vector<double> amps{0.02};
+  const auto wire = [&](const linalg::CMatrix& x, std::uint64_t first_seen) {
+    rfid::TagObservation obs;
+    obs.epc = epc;
+    obs.first_seen_us = first_seen;
+    for (std::size_t n = 0; n < x.cols(); ++n) {
+      for (std::size_t m = 0; m < x.rows(); ++m) {
+        const auto [pq, rq] = rfid::quantize_sample(x(m, n));
+        obs.samples.push_back(rfid::PhaseSample{
+            static_cast<std::uint16_t>(m + 1),
+            static_cast<std::uint32_t>(n), pq, rq});
+      }
+    }
+    return obs;
+  };
+
+  DWatchPipeline a(arrays, bounds());
+  a.add_baseline(0, epc, synth(arrays[0], angles, amps, {}, 41));
+  a.begin_epoch(0);
+  (void)a.observe(0, wire(synth(arrays[0], angles, amps, {0.2}, 42), 5000));
+  ASSERT_EQ(a.stats().stale_observations, 0u);
+
+  DWatchPipeline b(arrays, bounds());
+  b.restore(a.export_state());
+  const rfid::TagObservation retransmission =
+      wire(synth(arrays[0], angles, amps, {0.2}, 43), 3000);
+  for (DWatchPipeline* p : {&a, &b}) {
+    p->begin_epoch(0);
+    EXPECT_EQ(p->observe(0, retransmission), 0u);
+    EXPECT_EQ(p->confidence_report().stale_observations, 1u);
+    EXPECT_EQ(p->stats().stale_observations, 1u);
+  }
+}
+
 TEST(Pipeline, TwoElementArraysRunEndToEnd) {
   // The smallest legal deployment: M = 2 per array. default_subarray(2)
   // returns L == M, the MUSIC path skips smoothing, and the whole

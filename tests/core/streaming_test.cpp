@@ -1,9 +1,8 @@
-// Tests for the incremental spectral path (core/streaming.hpp): the
-// chunk-accumulated covariance must be BIT-IDENTICAL to the batch
-// sample_correlation over the concatenated snapshots, and the tracked
-// signal subspace must stay within the bounded-divergence contract of
-// the dense batch EVD — within 1e-6 relative on golden fixtures, with
-// an automatic dense reset restoring exact parity on divergence.
+// Tests for the incremental spectral path: the chunk-accumulated
+// covariance (core/streaming.hpp) must be BIT-IDENTICAL to the batch
+// sample_correlation over the concatenated snapshots, and a streaming
+// DWatchPipeline must count, widen and checkpoint exactly as its
+// accumulated data says.
 #include "core/streaming.hpp"
 
 #include <gtest/gtest.h>
@@ -11,12 +10,15 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/covariance.hpp"
-#include "core/music.hpp"
+#include "core/pipeline.hpp"
 #include "linalg/complex_matrix.hpp"
 #include "rf/constants.hpp"
+#include "rf/noise.hpp"
+#include "rf/snapshot.hpp"
 
 namespace dwatch::core {
 namespace {
@@ -62,18 +64,6 @@ linalg::CMatrix fixture_snapshots(std::size_t num_elements,
     }
   }
   return x;
-}
-
-/// Max per-bin deviation of `got` from `want`, relative to the bin.
-double max_relative_error(const AngularSpectrum& got,
-                          const AngularSpectrum& want) {
-  EXPECT_EQ(got.size(), want.size());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    const double denom = std::max(std::abs(want[i]), 1e-300);
-    worst = std::max(worst, std::abs(got[i] - want[i]) / denom);
-  }
-  return worst;
 }
 
 TEST(IncrementalCovariance, Validation) {
@@ -136,129 +126,174 @@ TEST(IncrementalCovariance, ResetStartsAFreshEpoch) {
   EXPECT_NEAR(cov.correlation().max_abs_diff(direct), 0.0, 0.0);
 }
 
-TEST(SubspaceTracker, Validation) {
-  SubspaceTrackerOptions bad;
-  bad.rank = 0;
-  EXPECT_THROW(SubspaceTracker{bad}, std::invalid_argument);
-  bad = SubspaceTrackerOptions{};
-  bad.divergence_tolerance = 0.0;
-  EXPECT_THROW(SubspaceTracker{bad}, std::invalid_argument);
-
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  EXPECT_THROW((void)tracker.update(linalg::CMatrix(3, 4)),
-               std::invalid_argument);
-  EXPECT_THROW((void)tracker.update(linalg::CMatrix(1, 1)),
-               std::invalid_argument);
+/// Two M-element arrays on adjacent walls of a 7 x 10 m room.
+std::vector<rf::UniformLinearArray> room_arrays(std::size_t num_elements) {
+  return {rf::UniformLinearArray({3.5, 0.15, 1.25}, {1, 0}, num_elements),
+          rf::UniformLinearArray({0.15, 5.0, 1.25}, {0, 1}, num_elements)};
 }
 
-TEST(SubspaceTracker, FirstUpdateIsADenseReset) {
-  const linalg::CMatrix r =
-      forward_backward_smooth(sample_correlation(fixture_snapshots(8, 16, 3)),
-                              default_subarray(8));
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  const SubspaceUpdateResult upd = tracker.update(r);
-  EXPECT_TRUE(upd.reset);
-  EXPECT_EQ(tracker.resets(), 1u);
-  EXPECT_EQ(tracker.rank(), 3u);
-  ASSERT_EQ(tracker.eigenvalues().size(), 3u);
-  EXPECT_GE(tracker.eigenvalues()[0], tracker.eigenvalues()[1]);
-  EXPECT_GE(tracker.eigenvalues()[1], tracker.eigenvalues()[2]);
-  // Columns orthonormal.
-  const linalg::CMatrix& u = tracker.subspace();
-  const linalg::CMatrix gram = u.hermitian() * u;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(std::abs(gram(i, j)), i == j ? 1.0 : 0.0, 1e-10);
+const SearchBounds kRoomBounds{{0.0, 0.0}, {7.0, 10.0}};
+
+/// Snapshots of one tag whose direct path arrives at `angle_rad`,
+/// attenuated by `scale` (1 = the empty scene).
+linalg::CMatrix tag_snapshots(const rf::UniformLinearArray& array,
+                              double angle_rad, double scale,
+                              std::size_t num_snapshots, std::uint64_t seed) {
+  rf::PropagationPath p;
+  p.kind = rf::PathKind::kDirect;
+  p.vertices = {{-10, 0, 1.25}, array.center()};
+  p.length = 10.0;
+  p.aoa = angle_rad;
+  p.gain = {0.01, 0.0};
+  const std::vector<rf::PropagationPath> paths{p};
+  rf::SnapshotOptions opts;
+  opts.num_snapshots = num_snapshots;
+  opts.noise_sigma = rf::noise_sigma_for_snr(paths, 1.0, 35.0);
+  rf::Rng rng(seed);
+  const std::vector<double> path_scale{scale};
+  return rf::synthesize_snapshots(array, paths, path_scale, opts, rng);
+}
+
+/// The columns [first, first + count) of `x`.
+linalg::CMatrix columns(const linalg::CMatrix& x, std::size_t first,
+                        std::size_t count) {
+  return x.block(0, first, x.rows(), count);
+}
+
+rfid::TagObservation wire_obs(const linalg::CMatrix& x,
+                              const rfid::Epc96& epc,
+                              std::uint64_t first_seen_us) {
+  rfid::TagObservation obs;
+  obs.epc = epc;
+  obs.first_seen_us = first_seen_us;
+  for (std::size_t n = 0; n < x.cols(); ++n) {
+    for (std::size_t m = 0; m < x.rows(); ++m) {
+      const auto [pq, rq] = rfid::quantize_sample(x(m, n));
+      obs.samples.push_back(rfid::PhaseSample{
+          static_cast<std::uint16_t>(m + 1), static_cast<std::uint32_t>(n),
+          pq, rq});
     }
   }
+  return obs;
 }
 
-TEST(SubspaceTracker, StationarySequenceTracksWarm) {
-  // Feeding the SAME matrix again and again: after the initial dense
-  // reset the basis is exact, every warm refinement has ~machine-level
-  // Ritz residual, and no further resets happen.
-  const linalg::CMatrix r =
-      forward_backward_smooth(sample_correlation(fixture_snapshots(8, 16, 4)),
-                              default_subarray(8));
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  for (int t = 0; t < 10; ++t) (void)tracker.update(r);
-  EXPECT_EQ(tracker.updates(), 10u);
-  EXPECT_EQ(tracker.resets(), 1u);  // only the cold start
-}
+TEST(StreamingPipeline, LowSnapshotCountFollowsTheAccumulatedColumns) {
+  // Three 4-column reports of one tag against min_snapshots 6: only the
+  // first streamed spectrum rests on too few columns (4); the second
+  // and third rest on 8 and 12, so their drops are NOT widened and they
+  // must not be counted as low-snapshot observations either.
+  PipelineOptions options;
+  options.streaming.enabled = true;
+  options.streaming.early_seal = false;
+  options.degraded.min_snapshots = 6;
+  DWatchPipeline pipe(room_arrays(4), kRoomBounds, options);
+  const rf::UniformLinearArray array = room_arrays(4)[0];
+  const rfid::Epc96 epc = rfid::Epc96::for_tag_index(1);
+  const double angle = rf::deg2rad(60);
+  pipe.add_baseline(0, epc, tag_snapshots(array, angle, 1.0, 16, 1));
 
-TEST(SubspaceTracker, GoldenTrackedSpectrumMatchesDenseBatch) {
-  // The bounded-divergence contract on a slowly evolving golden scene:
-  // the full tracked P-MUSIC spectrum stays within 1e-6 RELATIVE of the
-  // dense batch spectrum at every grid point of every epoch — either
-  // the warm refinement is that tight, or the tracker resets and IS the
-  // dense result.
-  const std::size_t m = 8;
-  const std::size_t l = default_subarray(m);
-  const MusicEstimator music(kSpacing, kLambda, MusicOptions{});
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  for (int t = 0; t < 8; ++t) {
-    const double gain2 = 0.45 - 0.04 * static_cast<double>(t);
-    const linalg::CMatrix x =
-        fixture_snapshots(m, 16, 100 + static_cast<std::uint64_t>(t), gain2);
-    const linalg::CMatrix r = sample_correlation(x);
-    const linalg::CMatrix smoothed = forward_backward_smooth(r, l);
-    (void)tracker.update(smoothed);
-
-    const MusicResult dense = music.estimate_from_correlation(r, x.cols());
-    const MusicResult tracked = music.estimate_from_subspace(
-        tracker.subspace(), tracker.eigenvalues(), tracker.trace(), x.cols());
-    ASSERT_EQ(tracked.num_sources, dense.num_sources) << "epoch " << t;
-    EXPECT_LE(max_relative_error(tracked.spectrum, dense.spectrum), 1e-6)
-        << "epoch " << t;
-  }
-}
-
-TEST(SubspaceTracker, DivergenceInjectionResetsAndRestoresParity) {
-  const std::size_t m = 8;
-  const std::size_t l = default_subarray(m);
-  const MusicEstimator music(kSpacing, kLambda, MusicOptions{});
-  SubspaceTracker tracker{SubspaceTrackerOptions{}};
-  const linalg::CMatrix r = sample_correlation(fixture_snapshots(m, 16, 7));
-  const linalg::CMatrix smoothed = forward_backward_smooth(r, l);
-  for (int t = 0; t < 3; ++t) (void)tracker.update(smoothed);
-  const std::size_t resets_before = tracker.resets();
-
-  // Seeded divergence: invalidate() models a corrupted basis (the same
-  // hook restore() uses). The very next update must fall back to the
-  // dense oracle and restore EXACT parity.
-  tracker.invalidate();
-  const SubspaceUpdateResult upd = tracker.update(smoothed);
-  EXPECT_TRUE(upd.reset);
-  EXPECT_EQ(tracker.resets(), resets_before + 1);
-
-  const MusicResult dense = music.estimate_from_correlation(r, 16);
-  const MusicResult tracked = music.estimate_from_subspace(
-      tracker.subspace(), tracker.eigenvalues(), tracker.trace(), 16);
-  ASSERT_EQ(tracked.num_sources, dense.num_sources);
-  EXPECT_LE(max_relative_error(tracked.spectrum, dense.spectrum), 1e-6);
-
-  // A hard scene change (different angles entirely) must ALSO stay
-  // within contract: the stale basis either refines to tolerance or
-  // triggers an automatic reset — never a silently wrong spectrum.
-  Lcg lcg(99);
-  linalg::CMatrix y(m, 16);
-  for (std::size_t n = 0; n < 16; ++n) {
-    const double phase = rf::kTwoPi * lcg.uniform();
-    for (std::size_t i = 0; i < m; ++i) {
-      const double steer = rf::kTwoPi * kSpacing * static_cast<double>(i) *
-                           std::cos(2.6) / kLambda;
-      y(i, n) = std::polar(1.0, steer + phase) +
-                std::complex<double>(1e-3 * (lcg.uniform() - 0.5),
-                                     1e-3 * (lcg.uniform() - 0.5));
+  pipe.begin_epoch();
+  const linalg::CMatrix online = tag_snapshots(array, angle, 0.2, 12, 2);
+  const double widen = options.degraded.sigma_widen;
+  for (std::size_t report = 0; report < 3; ++report) {
+    (void)pipe.observe(0, epc, columns(online, 4 * report, 4));
+    EXPECT_EQ(pipe.confidence_report().low_snapshot_observations, 1u)
+        << "after report " << report;
+    const std::vector<PathDrop>& drops = pipe.evidence()[0].drops;
+    ASSERT_FALSE(drops.empty()) << "after report " << report;
+    for (const PathDrop& d : drops) {
+      EXPECT_EQ(d.sigma_scale, report == 0 ? widen : 1.0)
+          << "after report " << report;
     }
   }
-  const linalg::CMatrix r2 = sample_correlation(y);
-  (void)tracker.update(forward_backward_smooth(r2, l));
-  const MusicResult dense2 = music.estimate_from_correlation(r2, 16);
-  const MusicResult tracked2 = music.estimate_from_subspace(
-      tracker.subspace(), tracker.eigenvalues(), tracker.trace(), 16);
-  ASSERT_EQ(tracked2.num_sources, dense2.num_sources);
-  EXPECT_LE(max_relative_error(tracked2.spectrum, dense2.spectrum), 1e-6);
+  EXPECT_EQ(pipe.stats().low_snapshot_observations, 1u);
+  EXPECT_EQ(pipe.confidence_report().observations, 3u);
+}
+
+TEST(StreamingPipeline, RestoreAtAnEpochBoundaryMatchesTheUninterrupted) {
+  // Pipeline A runs every epoch; B is restored from A's export at an
+  // epoch boundary and fed the same reports from then on. Evidence,
+  // early sealing, staleness and fixes must agree observation by
+  // observation. Each epoch opens with a retransmission of one of the
+  // previous epoch's reports, which the carried default watermark
+  // rejects.
+  PipelineOptions options;
+  options.streaming.enabled = true;
+  options.streaming.min_reports = 4;
+  options.streaming.convergence_window = 2;
+  DWatchPipeline a(room_arrays(8), kRoomBounds, options);
+  const std::vector<rf::UniformLinearArray> arrays = room_arrays(8);
+  const rf::Vec2 target{2.0, 3.0};
+  for (std::size_t k = 0; k < arrays.size(); ++k) {
+    a.add_baseline(
+        k, rfid::Epc96::for_tag_index(static_cast<std::uint32_t>(k + 1)),
+        tag_snapshots(arrays[k], arrays[k].arrival_angle_planar(target), 1.0,
+                      16, 500 + k));
+  }
+
+  constexpr std::size_t kEpochs = 5;
+  constexpr std::size_t kRestoreAt = 2;
+  constexpr std::size_t kReportsPerArray = 8;
+  const auto report = [&](std::size_t epoch, std::size_t r, std::size_t k) {
+    const std::uint64_t seed = 1000 * epoch + 10 * r + k;
+    return wire_obs(
+        tag_snapshots(arrays[k], arrays[k].arrival_angle_planar(target), 0.2,
+                      16, seed),
+        rfid::Epc96::for_tag_index(static_cast<std::uint32_t>(k + 1)),
+        10000 * (epoch + 1) + 10 * r + k);
+  };
+
+  std::optional<DWatchPipeline> b;
+  std::size_t early_restored_epochs = 0;
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    if (epoch == kRestoreAt) {
+      b.emplace(room_arrays(8), kRoomBounds, options);
+      b->restore(a.export_state());
+    }
+    std::vector<DWatchPipeline*> pipes{&a};
+    if (b) pipes.push_back(&*b);
+    for (DWatchPipeline* p : pipes) p->begin_epoch();
+    if (epoch > 0) {
+      const rfid::TagObservation stale =
+          report(epoch - 1, 0, arrays.size() - 1);
+      for (DWatchPipeline* p : pipes) {
+        (void)p->observe(arrays.size() - 1, stale);
+      }
+    }
+    for (std::size_t r = 0; r < kReportsPerArray; ++r) {
+      for (std::size_t k = 0; k < arrays.size(); ++k) {
+        const rfid::TagObservation obs = report(epoch, r, k);
+        for (DWatchPipeline* p : pipes) (void)p->observe(k, obs);
+        if (!b) continue;
+        ASSERT_EQ(b->early_fix_ready(), a.early_fix_ready())
+            << "epoch " << epoch << " report " << r << " array " << k;
+        for (std::size_t e = 0; e < arrays.size(); ++e) {
+          const std::vector<PathDrop>& da = a.evidence()[e].drops;
+          const std::vector<PathDrop>& db = b->evidence()[e].drops;
+          ASSERT_EQ(db.size(), da.size());
+          for (std::size_t i = 0; i < da.size(); ++i) {
+            EXPECT_EQ(db[i].theta, da[i].theta);
+            EXPECT_EQ(db[i].online_power, da[i].online_power);
+            EXPECT_EQ(db[i].sigma_scale, da[i].sigma_scale);
+            EXPECT_EQ(db[i].source_id, da[i].source_id);
+          }
+        }
+      }
+    }
+    if (!b) continue;
+    if (a.early_fix_ready()) ++early_restored_epochs;
+    const ConfidentEstimate fa = a.localize_with_confidence(true);
+    const ConfidentEstimate fb = b->localize_with_confidence(true);
+    EXPECT_EQ(fb.estimate.valid, fa.estimate.valid) << "epoch " << epoch;
+    EXPECT_EQ(fb.estimate.position.x, fa.estimate.position.x);
+    EXPECT_EQ(fb.estimate.position.y, fa.estimate.position.y);
+    EXPECT_EQ(fb.estimate.likelihood, fa.estimate.likelihood);
+    EXPECT_EQ(fb.confidence, fa.confidence) << "epoch " << epoch;
+    EXPECT_EQ(fb.confidence.stale_observations, 1u) << "epoch " << epoch;
+    EXPECT_EQ(b->stats(), a.stats()) << "epoch " << epoch;
+  }
+  // The restored epochs must actually exercise early sealing.
+  EXPECT_GT(early_restored_epochs, 0u);
 }
 
 }  // namespace
