@@ -66,29 +66,88 @@ double Localizer::global_drop_norm(
   return norm;
 }
 
-double Localizer::evidence_at(const AngularEvidence& evidence, double theta,
-                              double norm) const {
-  if (norm <= 0.0) return 0.0;
-  const double inv_2s2 = inv_2s2_;
+namespace {
+
+/// One detected drop reduced to what the evidence kernel reads.
+struct Kernel {
+  double theta = 0.0;
+  double weight = 0.0;  ///< (power drop / norm)^power_exponent
+  double inv = 0.0;     ///< 1 / (2 (kernel_sigma * sigma_scale)^2)
+};
+
+/// One array's kernels, heaviest first (the order the exact early exit
+/// in max_kernel needs).
+std::vector<Kernel> kernels(const AngularEvidence& evidence, double norm,
+                            double power_exponent, double inv_2s2) {
+  std::vector<Kernel> out;
+  out.reserve(evidence.drops.size());
+  for (const PathDrop& d : evidence.drops) {
+    const double power_drop =
+        std::max(d.baseline_power - d.online_power, 0.0);
+    // No drop anywhere (norm 0) means no evidence anywhere.
+    const double weight =
+        norm > 0.0 ? std::pow(power_drop / norm, power_exponent) : 0.0;
+    // sigma_scale > 1 widens the kernel of a low-confidence drop
+    // (degraded snapshot count); the division by 1.0 on the clean path
+    // is exact, so healthy runs are bit-identical.
+    out.push_back(
+        {d.theta, weight, inv_2s2 / (d.sigma_scale * d.sigma_scale)});
+  }
+  // A NaN weight (never a maximum) sorts last so the order stays a
+  // strict weak ordering.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Kernel& x, const Kernel& y) {
+                     return x.weight > y.weight ||
+                            (!std::isnan(x.weight) && std::isnan(y.weight));
+                   });
+  return out;
+}
+
+/// dOmega_i(theta): MAX-combine of one array's kernels.
+double max_kernel(std::span<const Kernel> kernels, double theta) {
   // MAX-combine across drops: several drops at one bearing are usually
   // one physical blockage seen through several tags' spectra (or one
   // reflector's ghost), so they must not pile up additively — otherwise
   // a cluster of weak reflection-path ghosts outvotes one honest
   // direct-path drop.
   double best = 0.0;
-  for (const PathDrop& d : evidence.drops) {
-    const double delta = theta - d.theta;
-    const double power_drop =
-        std::max(d.baseline_power - d.online_power, 0.0);
-    const double weight =
-        std::pow(power_drop / norm, options_.power_exponent);
-    // sigma_scale > 1 widens the kernel of a low-confidence drop
-    // (degraded snapshot count); the division by 1.0 on the clean path
-    // is exact, so healthy runs are bit-identical.
-    const double inv = inv_2s2 / (d.sigma_scale * d.sigma_scale);
-    best = std::max(best, weight * std::exp(-delta * delta * inv));
+  for (const Kernel& k : kernels) {
+    // Exact early exit: the Gaussian factor is at most 1 and the
+    // weights only fall from here, so no later drop can raise the max.
+    if (k.weight <= best) break;
+    const double delta = theta - k.theta;
+    best = std::max(best, k.weight * std::exp(-delta * delta * k.inv));
   }
   return best;
+}
+
+}  // namespace
+
+/// Indexed like the arrays; the entry of an array that is not usable
+/// (silent or excluded) is empty.
+struct Localizer::KernelTable {
+  std::vector<std::vector<Kernel>> arrays;
+};
+
+Localizer::KernelTable Localizer::kernel_table(
+    std::span<const AngularEvidence> evidence) const {
+  const double norm = global_drop_norm(evidence);
+  KernelTable table{std::vector<std::vector<Kernel>>(evidence.size())};
+  for (std::size_t i = 0; i < evidence.size(); ++i) {
+    // Silent reader: no information. Excluded reader: flagged unusable
+    // (degraded mode) — also contributes nothing.
+    if (evidence[i].usable()) {
+      table.arrays[i] =
+          kernels(evidence[i], norm, options_.power_exponent, inv_2s2_);
+    }
+  }
+  return table;
+}
+
+double Localizer::evidence_at(const AngularEvidence& evidence, double theta,
+                              double norm) const {
+  return max_kernel(kernels(evidence, norm, options_.power_exponent, inv_2s2_),
+                    theta);
 }
 
 std::size_t Localizer::arrays_with_evidence(
@@ -128,55 +187,60 @@ bool Localizer::too_close_to_array(rf::Vec2 point) const {
 
 double Localizer::likelihood_at(
     rf::Vec2 point, std::span<const AngularEvidence> evidence) const {
-  return likelihood_at(point, evidence, global_drop_norm(evidence));
-}
-
-double Localizer::likelihood_at(rf::Vec2 point,
-                                std::span<const AngularEvidence> evidence,
-                                double norm) const {
   if (evidence.size() != arrays_.size()) {
     throw std::invalid_argument("likelihood_at: evidence count mismatch");
   }
+  return likelihood_at(point, kernel_table(evidence));
+}
+
+double Localizer::likelihood_at(rf::Vec2 point,
+                                const KernelTable& table) const {
   if (too_close_to_array(point)) return 0.0;
   double l = 1.0;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    // Silent reader: no information. Excluded reader: flagged unusable
-    // (degraded mode) — also contributes nothing.
-    if (!evidence[i].usable()) continue;
+    if (table.arrays[i].empty()) continue;
     const double theta = arrays_[i].arrival_angle_planar(point);
-    l *= options_.epsilon + evidence_at(evidence[i], theta, norm);
+    l *= options_.epsilon + max_kernel(table.arrays[i], theta);
   }
   return l;
 }
 
 std::size_t Localizer::consensus_at(rf::Vec2 point,
-                                    std::span<const AngularEvidence> evidence,
-                                    double norm) const {
-  (void)norm;
+                                    const KernelTable& table) const {
   // Consensus is about ANGULAR agreement, not power: an array supports a
   // candidate iff one of its drops points at it (kernel proximity),
   // whatever that drop's strength. Power weighting then ranks candidates
   // WITHIN a consensus level via the likelihood.
-  const double inv_2s2 = inv_2s2_;
   if (too_close_to_array(point)) return 0;
   std::size_t n = 0;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (!evidence[i].usable()) continue;
+    if (table.arrays[i].empty()) continue;
     const double theta = arrays_[i].arrival_angle_planar(point);
     double best = 0.0;
-    for (const PathDrop& d : evidence[i].drops) {
-      const double delta = theta - d.theta;
-      const double inv = inv_2s2 / (d.sigma_scale * d.sigma_scale);
-      best = std::max(best, std::exp(-delta * delta * inv));
+    for (const Kernel& k : table.arrays[i]) {
+      if (best >= options_.consensus_floor) break;  // the count is settled
+      const double delta = theta - k.theta;
+      best = std::max(best, std::exp(-delta * delta * k.inv));
     }
     if (best >= options_.consensus_floor) ++n;
   }
   return n;
 }
 
+std::vector<LocationEstimate> Localizer::candidates(
+    const KernelTable& table) const {
+  std::vector<LocationEstimate> found = options_.hill_climbing
+                                            ? hill_climb_candidates(table)
+                                            : grid_candidates(table);
+  // Both producers promise candidate_order() — consensus_select would
+  // mask a violation by re-sorting, so check the contract here.
+  assert(std::is_sorted(found.begin(), found.end(), candidate_order));
+  return found;
+}
+
 std::vector<LocationEstimate> Localizer::grid_candidates(
-    std::span<const AngularEvidence> evidence) const {
-  const LikelihoodGrid grid = likelihood_grid(evidence);
+    const KernelTable& table) const {
+  const LikelihoodGrid grid = likelihood_grid(table);
   std::vector<LocationEstimate> candidates;
   for (std::size_t iy = 0; iy < grid.ny; ++iy) {
     for (std::size_t ix = 0; ix < grid.nx; ++ix) {
@@ -209,7 +273,7 @@ std::vector<LocationEstimate> Localizer::grid_candidates(
 }
 
 std::vector<LocationEstimate> Localizer::hill_climb_candidates(
-    std::span<const AngularEvidence> evidence, double norm) const {
+    const KernelTable& table) const {
   DWATCH_SPAN("localize.hill_climb");
   // Multi-start: coarse seed lattice, then 8-neighbour ascent on the
   // fine grid (the paper's hill climbing). Produces one candidate per
@@ -230,7 +294,7 @@ std::vector<LocationEstimate> Localizer::hill_climb_candidates(
           bounds_.min.y + (bounds_.max.y - bounds_.min.y) *
                               (static_cast<double>(sy) + 0.5) /
                               static_cast<double>(per_side)};
-      double l = likelihood_at(p, evidence, norm);
+      double l = likelihood_at(p, table);
       bool moved = true;
       while (moved) {
         moved = false;
@@ -239,7 +303,7 @@ std::vector<LocationEstimate> Localizer::hill_climb_candidates(
             if (dx == 0 && dy == 0) continue;
             const rf::Vec2 q{p.x + dx * step, p.y + dy * step};
             if (!bounds_.contains(q)) continue;
-            const double lq = likelihood_at(q, evidence, norm);
+            const double lq = likelihood_at(q, table);
             if (lq > l) {
               l = lq;
               p = q;
@@ -262,7 +326,14 @@ std::vector<LocationEstimate> Localizer::hill_climb_candidates(
 
 LocationEstimate Localizer::consensus_select(
     std::vector<LocationEstimate> candidates,
-    std::span<const AngularEvidence> evidence, double norm,
+    std::span<const AngularEvidence> evidence,
+    std::size_t min_arrays) const {
+  return consensus_select(std::move(candidates), kernel_table(evidence),
+                          min_arrays);
+}
+
+LocationEstimate Localizer::consensus_select(
+    std::vector<LocationEstimate> candidates, const KernelTable& table,
     std::size_t min_arrays) const {
   // Rank by the total order BEFORE the cap: which 24 get scored must
   // not depend on the order restarts (or a caller) produced them in.
@@ -271,7 +342,7 @@ LocationEstimate Localizer::consensus_select(
   const std::size_t limit = std::min(candidates.size(), kMaxCandidates);
   for (std::size_t i = 0; i < limit; ++i) {
     LocationEstimate c = candidates[i];
-    c.consensus = consensus_at(c.position, evidence, norm);
+    c.consensus = consensus_at(c.position, table);
     // Scanning in candidate_order means the first candidate at any
     // consensus level is already the best-ranked one — a strict
     // consensus improvement is the only reason to switch.
@@ -294,39 +365,39 @@ LocationEstimate Localizer::localize(
   if (arrays_with_evidence(evidence) < min_arrays) {
     return LocationEstimate{};  // not covered
   }
-  const double norm = global_drop_norm(evidence);
-  std::vector<LocationEstimate> candidates =
-      options_.hill_climbing ? hill_climb_candidates(evidence, norm)
-                             : grid_candidates(evidence);
-  // Both producers promise candidate_order() — consensus_select would
-  // mask a violation by re-sorting, so check the contract here.
-  assert(std::is_sorted(candidates.begin(), candidates.end(),
-                        candidate_order));
-
+  const KernelTable table = kernel_table(evidence);
   // Consensus selection (outlier rejection): among the likelihood peaks,
   // prefer the one the most arrays genuinely point at; candidates backed
   // by fewer than min_arrays arrays are not a valid fix at all.
-  return consensus_select(std::move(candidates), evidence, norm, min_arrays);
+  return consensus_select(candidates(table), table, min_arrays);
 }
 
 LocationEstimate Localizer::localize_best_effort(
     std::span<const AngularEvidence> evidence) const {
-  LocationEstimate est = localize(evidence);
-  if (est.valid || est.likelihood > 0.0) return est;
-  if (arrays_with_evidence(evidence) == 0) return est;  // nothing to go on
-  // No consensus candidate: fall back to the raw likelihood maximum,
-  // searched with the SAME mode the localizer is configured for (a
-  // hill-climbing deployment must not silently pay for — and answer
-  // from — an exhaustive grid), and selected by an explicit max scan
-  // rather than trusting the list head.
-  const double norm = global_drop_norm(evidence);
-  const std::vector<LocationEstimate> candidates =
-      options_.hill_climbing ? hill_climb_candidates(evidence, norm)
-                             : grid_candidates(evidence);
-  const LocationEstimate top = select_max_likelihood(candidates);
+  DWATCH_SPAN("localize.fix");
+  if (evidence.size() != arrays_.size()) {
+    throw std::invalid_argument("localize: evidence count mismatch");
+  }
+  const std::size_t min_arrays = effective_min_arrays(evidence);
+  const std::size_t usable = arrays_with_evidence(evidence);
+  if (usable == 0 && min_arrays > 0) return {};  // nothing to go on
+  // One search serves both the consensus fix and the fallback.
+  const KernelTable table = kernel_table(evidence);
+  const std::vector<LocationEstimate> found = candidates(table);
+  LocationEstimate est{};
+  if (usable >= min_arrays) {
+    est = consensus_select(found, table, min_arrays);
+    if (est.valid || est.likelihood > 0.0) return est;
+  }
+  // No consensus candidate: fall back to the raw likelihood maximum of
+  // the SAME search mode the localizer is configured for (a
+  // hill-climbing deployment must not silently answer from an
+  // exhaustive grid), selected by an explicit max scan rather than
+  // trusting the list head.
+  const LocationEstimate top = select_max_likelihood(found);
   if (top.likelihood > 0.0) {
     LocationEstimate best = top;
-    best.consensus = consensus_at(best.position, evidence, norm);
+    best.consensus = consensus_at(best.position, table);
     best.valid = false;
     return best;
   }
@@ -341,8 +412,8 @@ std::vector<LocationEstimate> Localizer::localize_multi(
   if (max_targets == 0 || arrays_with_evidence(evidence) < min_arrays) {
     return out;
   }
-  const double norm = global_drop_norm(evidence);
-  std::vector<LocationEstimate> candidates = grid_candidates(evidence);
+  const KernelTable table = kernel_table(evidence);
+  std::vector<LocationEstimate> candidates = grid_candidates(table);
   if (candidates.empty()) return out;
 
   const double floor = candidates.front().likelihood * relative_floor;
@@ -353,7 +424,7 @@ std::vector<LocationEstimate> Localizer::localize_multi(
           return rf::distance(e.position, c.position) < min_separation;
         });
     if (clash) continue;
-    c.consensus = consensus_at(c.position, evidence, norm);
+    c.consensus = consensus_at(c.position, table);
     if (c.consensus < min_arrays) continue;
     c.valid = true;
     out.push_back(c);
@@ -364,6 +435,10 @@ std::vector<LocationEstimate> Localizer::localize_multi(
 
 LikelihoodGrid Localizer::likelihood_grid(
     std::span<const AngularEvidence> evidence) const {
+  return likelihood_grid(kernel_table(evidence));
+}
+
+LikelihoodGrid Localizer::likelihood_grid(const KernelTable& table) const {
   DWATCH_SPAN("localize.grid");
   LikelihoodGrid grid;
   grid.origin = bounds_.min;
@@ -375,24 +450,12 @@ LikelihoodGrid Localizer::likelihood_grid(
                 std::floor((bounds_.max.y - bounds_.min.y) / grid.step)) +
             1;
   grid.values.resize(grid.nx * grid.ny);
-  const double norm = global_drop_norm(evidence);
   // Each row writes only its own disjoint slice of grid.values and reads
-  // shared state read-only, so the parallel and serial paths produce
+  // the kernel table read-only, so the parallel and serial paths produce
   // bit-identical grids.
   const auto fill_row = [&](std::size_t iy) {
     for (std::size_t ix = 0; ix < grid.nx; ++ix) {
-      const rf::Vec2 p = grid.point(ix, iy);
-      if (too_close_to_array(p)) {
-        grid.values[iy * grid.nx + ix] = 0.0;
-        continue;
-      }
-      double l = 1.0;
-      for (std::size_t i = 0; i < arrays_.size(); ++i) {
-        if (!evidence[i].usable()) continue;
-        const double theta = arrays_[i].arrival_angle_planar(p);
-        l *= options_.epsilon + evidence_at(evidence[i], theta, norm);
-      }
-      grid.values[iy * grid.nx + ix] = l;
+      grid.values[iy * grid.nx + ix] = likelihood_at(grid.point(ix, iy), table);
     }
   };
   if (pool_ && pool_->num_workers() > 1) {

@@ -131,17 +131,10 @@ class Localizer {
                                    double theta, double norm) const;
 
   /// L(O) for a candidate point (evidence indexed like the arrays;
-  /// throws std::invalid_argument on count mismatch). Recomputes the
-  /// global drop norm; search loops use the `norm` overload below so the
-  /// O(total drops) scan runs once per search, not once per probe.
+  /// throws std::invalid_argument on count mismatch). A one-off probe:
+  /// searches reduce the evidence once and probe that instead.
   [[nodiscard]] double likelihood_at(
       rf::Vec2 point, std::span<const AngularEvidence> evidence) const;
-
-  /// L(O) with the global drop norm already computed (the hot-path
-  /// variant probed by hill climbing and grid search).
-  [[nodiscard]] double likelihood_at(rf::Vec2 point,
-                                     std::span<const AngularEvidence> evidence,
-                                     double norm) const;
 
   /// Attach a worker pool; likelihood_grid() then computes its rows in
   /// parallel. Results are bit-identical with or without a pool (rows
@@ -192,7 +185,7 @@ class Localizer {
   /// effective (K-of-N adjusted) validity threshold.
   [[nodiscard]] LocationEstimate consensus_select(
       std::vector<LocationEstimate> candidates,
-      std::span<const AngularEvidence> evidence, double norm,
+      std::span<const AngularEvidence> evidence,
       std::size_t min_arrays) const;
 
   /// Hard cap on how many candidates consensus selection scores per
@@ -226,6 +219,15 @@ class Localizer {
       std::span<const AngularEvidence> evidence) const;
 
  private:
+  /// The evidence reduced once per search (defined in localizer.cpp):
+  /// per usable array, each drop's bearing, weight and kernel
+  /// reciprocal. Read-only once built, so pooled grid rows share it.
+  struct KernelTable;
+
+  [[nodiscard]] KernelTable kernel_table(
+      std::span<const AngularEvidence> evidence) const;
+  [[nodiscard]] double likelihood_at(rf::Vec2 point,
+                                     const KernelTable& table) const;
   [[nodiscard]] std::size_t arrays_with_evidence(
       std::span<const AngularEvidence> evidence) const;
   /// min_arrays shrunk to the surviving array count when some arrays
@@ -236,19 +238,26 @@ class Localizer {
   [[nodiscard]] bool too_close_to_array(rf::Vec2 point) const;
   /// Number of arrays whose evidence at `point`'s bearing clears the
   /// consensus floor.
-  [[nodiscard]] std::size_t consensus_at(
-      rf::Vec2 point, std::span<const AngularEvidence> evidence,
-      double norm) const;
+  [[nodiscard]] std::size_t consensus_at(rf::Vec2 point,
+                                         const KernelTable& table) const;
+  [[nodiscard]] LocationEstimate consensus_select(
+      std::vector<LocationEstimate> candidates, const KernelTable& table,
+      std::size_t min_arrays) const;
+  [[nodiscard]] LikelihoodGrid likelihood_grid(const KernelTable& table) const;
+  /// Likelihood peaks from the configured search mode (grid or hill
+  /// climbing), sorted by candidate_order().
+  [[nodiscard]] std::vector<LocationEstimate> candidates(
+      const KernelTable& table) const;
   /// Local maxima of the likelihood grid. Ordering contract (shared
   /// with hill_climb_candidates): the returned list is sorted by
   /// candidate_order() — strictly ranked even through likelihood ties,
   /// so downstream caps and front() reads are deterministic.
   [[nodiscard]] std::vector<LocationEstimate> grid_candidates(
-      std::span<const AngularEvidence> evidence) const;
+      const KernelTable& table) const;
   /// Multi-start ascent candidates; same candidate_order() contract as
   /// grid_candidates().
   [[nodiscard]] std::vector<LocationEstimate> hill_climb_candidates(
-      std::span<const AngularEvidence> evidence, double norm) const;
+      const KernelTable& table) const;
 
   std::vector<rf::UniformLinearArray> arrays_;
   SearchBounds bounds_;

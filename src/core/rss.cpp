@@ -50,9 +50,15 @@ RssLocalizer::RssLocalizer(std::vector<rf::Vec2> array_centers,
   inv_2s2_ = 1.0 / (2.0 * options_.lateral_sigma * options_.lateral_sigma);
 }
 
-double RssLocalizer::global_drop_norm(std::span<const RssLink> links) {
+double RssLocalizer::global_drop_norm(
+    std::span<const RssLink> links, std::span<const std::uint8_t> excluded) {
   double norm = 0.0;
   for (const RssLink& link : links) {
+    // As in the phase path: an excluded array's links must not rescale
+    // the healthy arrays' weights.
+    if (link.array_idx < excluded.size() && excluded[link.array_idx] != 0) {
+      continue;
+    }
     norm = std::max(norm, link.drop_fraction);
   }
   return norm;
@@ -153,21 +159,16 @@ std::vector<LocationEstimate> RssLocalizer::grid_candidates(
   return candidates;
 }
 
-LocationEstimate RssLocalizer::localize(
-    std::span<const RssLink> links,
-    std::span<const std::uint8_t> excluded) const {
-  LocationEstimate best;
-  const double norm = global_drop_norm(links);
-  if (norm <= 0.0) return best;
-  const std::size_t usable = usable_arrays(links, excluded);
-  if (usable == 0) return best;
+LocationEstimate RssLocalizer::consensus_select(
+    std::span<const LocationEstimate> candidates,
+    std::span<const RssLink> links, std::span<const std::uint8_t> excluded,
+    double norm, std::size_t usable) const {
   const std::size_t min_arrays = std::min(options_.min_arrays, usable);
-  std::vector<LocationEstimate> candidates = grid_candidates(links, excluded);
-  if (candidates.size() > Localizer::kMaxCandidates) {
-    candidates.resize(Localizer::kMaxCandidates);
-  }
+  LocationEstimate best;
   bool have = false;
-  for (LocationEstimate& c : candidates) {
+  const std::size_t limit =
+      std::min(candidates.size(), Localizer::kMaxCandidates);
+  for (LocationEstimate c : candidates.first(limit)) {
     c.consensus = consensus_at(c.position, links, excluded, norm);
     if (c.consensus < min_arrays) continue;
     if (!have || c.consensus > best.consensus ||
@@ -181,17 +182,34 @@ LocationEstimate RssLocalizer::localize(
   return best;
 }
 
+LocationEstimate RssLocalizer::localize(
+    std::span<const RssLink> links,
+    std::span<const std::uint8_t> excluded) const {
+  const double norm = global_drop_norm(links, excluded);
+  if (norm <= 0.0) return {};
+  const std::size_t usable = usable_arrays(links, excluded);
+  if (usable == 0) return {};
+  return consensus_select(grid_candidates(links, excluded), links, excluded,
+                          norm, usable);
+}
+
 LocationEstimate RssLocalizer::localize_best_effort(
     std::span<const RssLink> links,
     std::span<const std::uint8_t> excluded) const {
-  LocationEstimate est = localize(links, excluded);
-  if (est.valid) return est;
-  const double norm = global_drop_norm(links);
-  if (norm <= 0.0) return est;
+  const double norm = global_drop_norm(links, excluded);
+  if (norm <= 0.0) return {};
+  // One grid serves both the consensus fix and the fallback.
   const std::vector<LocationEstimate> candidates =
       grid_candidates(links, excluded);
-  if (candidates.empty()) return est;
-  est = candidates.front();
+  const std::size_t usable = usable_arrays(links, excluded);
+  if (usable > 0) {
+    const LocationEstimate est =
+        consensus_select(candidates, links, excluded, norm, usable);
+    if (est.valid) return est;
+  }
+  // An invalid consensus_select() result is a default estimate.
+  if (candidates.empty()) return {};
+  LocationEstimate est = candidates.front();
   est.consensus = consensus_at(est.position, links, excluded, norm);
   est.valid = false;
   return est;
@@ -202,7 +220,7 @@ std::vector<LocationEstimate> RssLocalizer::localize_multi(
     std::size_t max_targets, double min_separation,
     double relative_floor) const {
   std::vector<LocationEstimate> out;
-  const double norm = global_drop_norm(links);
+  const double norm = global_drop_norm(links, excluded);
   if (norm <= 0.0 || max_targets == 0) return out;
   const std::size_t usable = usable_arrays(links, excluded);
   if (usable == 0) return out;
@@ -243,7 +261,7 @@ LikelihoodGrid RssLocalizer::likelihood_grid(
                 std::floor((bounds_.max.y - bounds_.min.y) / grid_step_)) +
             1;
   grid.values.resize(grid.nx * grid.ny);
-  const double norm = global_drop_norm(links);
+  const double norm = global_drop_norm(links, excluded);
   for (std::size_t iy = 0; iy < grid.ny; ++iy) {
     for (std::size_t ix = 0; ix < grid.nx; ++ix) {
       grid.values[iy * grid.nx + ix] =

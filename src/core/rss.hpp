@@ -93,8 +93,10 @@ class RssLocalizer {
     return bounds_;
   }
 
-  /// Largest drop fraction across all links (the weight normalizer).
-  [[nodiscard]] static double global_drop_norm(std::span<const RssLink> links);
+  /// Largest drop fraction across the links of arrays not marked in
+  /// `excluded` (the weight normalizer).
+  [[nodiscard]] static double global_drop_norm(
+      std::span<const RssLink> links, std::span<const std::uint8_t> excluded);
 
   /// Evidence of one array at a candidate point: max over its links of
   /// weight * gaussian(lateral distance to the link segment).
@@ -142,6 +144,12 @@ class RssLocalizer {
   [[nodiscard]] std::vector<LocationEstimate> grid_candidates(
       std::span<const RssLink> links,
       std::span<const std::uint8_t> excluded) const;
+  /// The highest-consensus candidate among the first kMaxCandidates;
+  /// a default (invalid) estimate when none reaches min_arrays.
+  [[nodiscard]] LocationEstimate consensus_select(
+      std::span<const LocationEstimate> candidates,
+      std::span<const RssLink> links, std::span<const std::uint8_t> excluded,
+      double norm, std::size_t usable) const;
 
   std::vector<rf::Vec2> centers_;
   SearchBounds bounds_;

@@ -306,19 +306,16 @@ TEST(Localizer, ConsensusSelectionIsOrderIndependent) {
   const Localizer loc = default_localizer();
   const rf::Vec2 target{3.0, 4.0};
   const auto ev = evidence_for(room_arrays(), target);
-  const double norm = Localizer::global_drop_norm(ev);
 
   std::vector<LocationEstimate> candidates;
   for (std::size_t i = 0; i < 30; ++i) {  // > kMaxCandidates decoys
     const rf::Vec2 p{0.5 + 0.1 * static_cast<double>(i), 9.5};
-    candidates.push_back(
-        {p, loc.likelihood_at(p, ev, norm), 0, false});
+    candidates.push_back({p, loc.likelihood_at(p, ev), 0, false});
   }
-  candidates.push_back(
-      {target, loc.likelihood_at(target, ev, norm), 0, false});
+  candidates.push_back({target, loc.likelihood_at(target, ev), 0, false});
 
   const LocationEstimate ref =
-      loc.consensus_select(candidates, ev, norm, loc.options().min_arrays);
+      loc.consensus_select(candidates, ev, loc.options().min_arrays);
   ASSERT_TRUE(ref.valid);
   EXPECT_NEAR(rf::distance(ref.position, target), 0.0, 1e-12);
 
@@ -328,7 +325,7 @@ TEST(Localizer, ConsensusSelectionIsOrderIndependent) {
                 rotated.begin() + static_cast<std::ptrdiff_t>(shift),
                 rotated.end());
     const LocationEstimate got =
-        loc.consensus_select(rotated, ev, norm, loc.options().min_arrays);
+        loc.consensus_select(rotated, ev, loc.options().min_arrays);
     EXPECT_DOUBLE_EQ(got.position.x, ref.position.x);
     EXPECT_DOUBLE_EQ(got.position.y, ref.position.y);
     EXPECT_DOUBLE_EQ(got.likelihood, ref.likelihood);

@@ -72,6 +72,33 @@ TEST(RssLocalizerTest, TwoCrossingShadowedLinksPinTheBody) {
   EXPECT_NEAR(estimate.position.y, 5.0, 0.5);
 }
 
+TEST(RssLocalizerTest, ExcludedArrayDoesNotRescaleHealthyWeights) {
+  // Two healthy crossing links at 0.2 plus a third array that is
+  // excluded. Its strong 1.0 link must not enter the weight normalizer:
+  // scaled by 1.0 instead of 0.2, the healthy evidence would fall below
+  // the consensus floor and the fix would vanish.
+  const std::vector<rf::Vec2> centers{{0.0, 5.0}, {5.0, 0.0}, {10.0, 0.0}};
+  const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
+  const core::RssLocalizer localizer(centers, bounds, 0.25);
+  const std::vector<std::uint8_t> excluded{0, 0, 1};
+  std::vector<core::RssLink> links{
+      {0, {10.0, 5.0}, 0.2},
+      {1, {5.0, 10.0}, 0.2},
+  };
+  const core::LocationEstimate healthy = localizer.localize(links, excluded);
+  ASSERT_TRUE(healthy.valid);
+  EXPECT_NEAR(healthy.position.x, 5.0, 0.25);
+  EXPECT_NEAR(healthy.position.y, 5.0, 0.25);
+
+  links.push_back({2, {0.0, 10.0}, 1.0});
+  const core::LocationEstimate with_dead =
+      localizer.localize(links, excluded);
+  EXPECT_TRUE(with_dead.valid);
+  EXPECT_EQ(with_dead.position.x, healthy.position.x);
+  EXPECT_EQ(with_dead.position.y, healthy.position.y);
+  EXPECT_EQ(with_dead.likelihood, healthy.likelihood);
+}
+
 TEST(RssLocalizerTest, ThrowsOnEmptyCentersOrDegenerateBounds) {
   const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
   EXPECT_THROW(core::RssLocalizer({}, bounds, 0.25), std::invalid_argument);
