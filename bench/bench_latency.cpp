@@ -109,37 +109,6 @@ void BM_LocalizeOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalizeOnly)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// One whole epoch of per-tag spectra through observe_batch at a given
-/// worker count (Arg). Arg(1) is the serial baseline; higher args show
-/// the thread-pool scaling on multi-core hosts (on a single-core host
-/// they degenerate to roughly the serial time plus pool overhead).
-void BM_ObserveBatch(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  const sim::Scene& scene = shared_scene();
-  harness::RunnerOptions opts;
-  opts.calibrate = false;
-  opts.through_wire = false;
-  opts.pipeline.num_workers = workers;
-  harness::ExperimentRunner runner(scene, opts);
-  rf::Rng rng(9);
-  for (std::size_t a = 0; a < scene.num_arrays(); ++a) {
-    runner.pipeline().set_calibration(a, scene.reader(a).phase_offsets());
-  }
-  runner.collect_baselines(rng);
-  const std::vector<sim::CylinderTarget> targets{
-      sim::CylinderTarget::human({3.0, 4.0})};
-  const std::vector<core::BatchObservation> batch =
-      runner.capture_epoch(targets, rng);
-  for (auto _ : state) {
-    runner.pipeline().begin_epoch();
-    benchmark::DoNotOptimize(runner.pipeline().observe_batch(batch));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
-                                                    batch.size()));
-}
-BENCHMARK(BM_ObserveBatch)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
-
 void BM_CalibrationSolve(benchmark::State& state) {
   const sim::Scene& scene = shared_scene();
   const auto& array = scene.deployment().arrays[0];

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <numeric>
 #include <set>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "linalg/simd_kernels.hpp"
@@ -18,38 +16,64 @@ namespace dwatch::core {
 
 namespace {
 
-/// Process-wide mirrors of the pipeline lifetime counters, registered
-/// once and cached as references (registry metrics never move). Only
-/// touched inside `if (obs::enabled())` blocks, so a disabled build
-/// never even registers them.
-struct PipelineCounters {
-  obs::Counter& epochs;
-  obs::Counter& observations;
-  obs::Counter& observations_skipped;
-  obs::Counter& drops_detected;
-  obs::Counter& stale_observations;
-  obs::Counter& low_snapshot_observations;
-  obs::Counter& malformed_observations;
-  obs::Counter& reports_dropped;
-  obs::Counter& transport_retries;
-  obs::Counter& transport_timeouts;
+using CounterField = std::size_t EvidenceCounters::*;
 
-  static PipelineCounters& get() {
-    auto& reg = obs::MetricsRegistry::global();
-    static PipelineCounters counters{
-        reg.counter("dwatch_pipeline_epochs_total"),
-        reg.counter("dwatch_pipeline_observations_total"),
-        reg.counter("dwatch_pipeline_observations_skipped_total"),
-        reg.counter("dwatch_pipeline_drops_detected_total"),
-        reg.counter("dwatch_pipeline_stale_observations_total"),
-        reg.counter("dwatch_pipeline_low_snapshot_observations_total"),
-        reg.counter("dwatch_pipeline_malformed_observations_total"),
-        reg.counter("dwatch_pipeline_reports_dropped_total"),
-        reg.counter("dwatch_pipeline_transport_retries_total"),
-        reg.counter("dwatch_pipeline_transport_timeouts_total")};
-    return counters;
+/// Each evidence counter with its registry series name, both generated
+/// from the one DWATCH_EVIDENCE_COUNTERS list.
+struct CounterSeries {
+  CounterField field;
+  const char* name;
+};
+constexpr CounterSeries kCounterSeries[] = {
+#define DWATCH_COUNTER_SERIES(name) \
+  {&EvidenceCounters::name, "dwatch_pipeline_" #name "_total"},
+    DWATCH_EVIDENCE_COUNTERS(DWATCH_COUNTER_SERIES)
+#undef DWATCH_COUNTER_SERIES
+};
+
+/// Process-wide mirrors of the pipeline lifetime counters: epochs plus
+/// one series per evidence counter. All ten are registered together on
+/// first use, so a scrape lists every series from the first obs-on
+/// epoch; reached only with obs on, so a disabled run never registers
+/// them. Cached as pointers (registry metrics never move).
+struct RegistryTwins {
+  obs::Counter* epochs = nullptr;
+  obs::Counter* evidence[std::size(kCounterSeries)] = {};
+
+  static RegistryTwins& get() {
+    static RegistryTwins twins = [] {
+      auto& reg = obs::MetricsRegistry::global();
+      RegistryTwins t;
+      t.epochs = &reg.counter("dwatch_pipeline_epochs_total");
+      for (std::size_t i = 0; i < std::size(kCounterSeries); ++i) {
+        t.evidence[i] = &reg.counter(kCounterSeries[i].name);
+      }
+      return t;
+    }();
+    return twins;
+  }
+
+  obs::Counter& of(CounterField field) {
+    std::size_t i = 0;
+    while (kCounterSeries[i].field != field) ++i;
+    return *evidence[i];
   }
 };
+
+/// Grid stride of the streaming convergence check (the stability
+/// probe), NOT of the sealed fix, which is always computed at full
+/// resolution. A stride of s makes each mid-backlog probe ~s^2 cheaper;
+/// stability on the coarse grid means the argmax keeps choosing the
+/// same cell, which is strictly harder to jitter than the
+/// full-resolution argmax. Without it, per-observation probes cost as
+/// much as the spectral work early sealing tries to beat, and TTFF
+/// stops dropping.
+constexpr std::size_t kConvergenceGridStride = 4;
+/// A probe is stable when the best-effort fix moved at most this far
+/// [m] since the previous probe ...
+constexpr double kStablePositionM = 0.05;
+/// ... and its likelihood changed by at most this relative amount.
+constexpr double kStableLikelihood = 0.02;
 
 /// Plan-view array centers for the RSS localizer.
 std::vector<rf::Vec2> array_centers_xy(
@@ -219,15 +243,15 @@ bool DWatchPipeline::rss_active() const noexcept {
 }
 
 void DWatchPipeline::accumulate_rss(std::size_t array_idx,
-                                    const rfid::Epc96& epc, double coherence,
-                                    double online_power) {
-  epoch_.coherence_sum += coherence;
+                                    const rfid::Epc96& epc,
+                                    const linalg::CMatrix& snapshots) {
+  epoch_.coherence_sum += phase_coherence(snapshots);
   ++epoch_.coherence_count;
   const auto pos = tag_positions_.find(epc);
   if (pos == tag_positions_.end()) return;
   const auto base = rss_baselines_[array_idx].find(epc);
   if (base == rss_baselines_[array_idx].end() || base->second <= 0.0) return;
-  const double drop = 1.0 - online_power / base->second;
+  const double drop = 1.0 - mean_power(snapshots) / base->second;
   if (drop <= 0.0) return;
   epoch_.rss_links.push_back(RssLink{
       .array_idx = array_idx,
@@ -357,7 +381,7 @@ void DWatchPipeline::begin_epoch(std::uint64_t watermark_us) {
   stable_checks_ = 0;
   converged_ = false;
   ++stats_.epochs;
-  if (obs::enabled()) PipelineCounters::get().epochs.inc();
+  if (obs::enabled()) RegistryTwins::get().epochs->inc();
 }
 
 void DWatchPipeline::set_array_health(std::size_t array_idx, bool healthy) {
@@ -380,44 +404,20 @@ bool DWatchPipeline::array_healthy(std::size_t array_idx) const {
   return !evidence_[array_idx].excluded;
 }
 
+void DWatchPipeline::tally(CounterField field, std::size_t n) {
+  epoch_.*field += n;
+  stats_.*field += n;
+  if (obs::enabled()) RegistryTwins::get().of(field).inc(n);
+}
+
 void DWatchPipeline::note_transport(std::size_t retries,
                                     std::size_t timeouts) {
-  epoch_.transport_retries += retries;
-  epoch_.transport_timeouts += timeouts;
-  stats_.transport_retries += retries;
-  stats_.transport_timeouts += timeouts;
-  if (obs::enabled()) {
-    PipelineCounters::get().transport_retries.inc(retries);
-    PipelineCounters::get().transport_timeouts.inc(timeouts);
-  }
+  tally(&EvidenceCounters::transport_retries, retries);
+  tally(&EvidenceCounters::transport_timeouts, timeouts);
 }
 
 void DWatchPipeline::note_reports_dropped(std::size_t count) {
-  epoch_.reports_dropped += count;
-  stats_.reports_dropped += count;
-  if (obs::enabled()) PipelineCounters::get().reports_dropped.inc(count);
-}
-
-void DWatchPipeline::count_observation(bool has_baseline, bool widened,
-                                       std::size_t num_drops) {
-  const bool enabled = obs::enabled();
-  if (!has_baseline) {
-    ++stats_.observations_skipped;
-    ++epoch_.observations_skipped;
-    if (enabled) PipelineCounters::get().observations_skipped.inc();
-    return;
-  }
-  ++stats_.observations;
-  ++epoch_.observations;
-  if (enabled) PipelineCounters::get().observations.inc();
-  if (widened) {
-    ++stats_.low_snapshot_observations;
-    ++epoch_.low_snapshot_observations;
-    if (enabled) PipelineCounters::get().low_snapshot_observations.inc();
-  }
-  stats_.drops_detected += num_drops;
-  epoch_.drops_detected += num_drops;
-  if (enabled) PipelineCounters::get().drops_detected.inc(num_drops);
+  tally(&EvidenceCounters::reports_dropped, count);
 }
 
 DWatchPipeline::Detection DWatchPipeline::detect(
@@ -456,13 +456,12 @@ void DWatchPipeline::check_convergence() {
     if (evidence_[a].drops.empty()) return;
   }
   ++streaming_stats_.convergence_checks;
-  // The stability probe runs on a COARSE grid (see StreamingOptions):
-  // only the seal-time fix needs full resolution. Never undercut an
-  // active brownout stride.
+  // The stability probe runs on a COARSE grid (see
+  // kConvergenceGridStride): only the seal-time fix needs full
+  // resolution. Never undercut an active brownout stride.
   const std::size_t prev_stride = localizer_.grid_stride();
-  localizer_.set_grid_stride(std::max<std::size_t>(
-      {1, prev_stride, options_.streaming.convergence_grid_stride}));
-  const LocationEstimate est = localize_best_effort();
+  localizer_.set_grid_stride(std::max(prev_stride, kConvergenceGridStride));
+  const LocationEstimate est = best_effort_fix(/*log_ghosts=*/false);
   localizer_.set_grid_stride(prev_stride);
   if (!est.valid) {
     stable_checks_ = 0;
@@ -476,9 +475,8 @@ void DWatchPipeline::check_convergence() {
     const double denom = std::max(std::abs(last_estimate_.likelihood), 1e-12);
     const double rel =
         std::abs(est.likelihood - last_estimate_.likelihood) / denom;
-    stable = std::sqrt(dx * dx + dy * dy) <=
-                 options_.streaming.position_tolerance_m &&
-             rel <= options_.streaming.likelihood_tolerance;
+    stable = std::sqrt(dx * dx + dy * dy) <= kStablePositionM &&
+             rel <= kStableLikelihood;
   }
   stable_checks_ = stable ? stable_checks_ + 1 : 0;
   last_estimate_ = est;
@@ -503,7 +501,7 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   check_array(array_idx);
   const auto it = baselines_[array_idx].find(epc);
   if (it == baselines_[array_idx].end()) {
-    count_observation(false, false, 0);
+    tally(&EvidenceCounters::observations_skipped);
     return 0;
   }
   const bool streaming = options_.streaming.enabled;
@@ -533,9 +531,11 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
                    x.cols());
   }
   const std::vector<PathDrop>& drops = found.drops;
-  count_observation(true, found.widened, drops.size());
-  accumulate_rss(array_idx, epc, phase_coherence(snapshots),
-                 mean_power(snapshots));
+  tally(&EvidenceCounters::observations);
+  // Low-snapshot exactly when detect() widened the drops' kernel.
+  if (found.widened) tally(&EvidenceCounters::low_snapshot_observations);
+  tally(&EvidenceCounters::drops_detected, drops.size());
+  accumulate_rss(array_idx, epc, snapshots);
   auto& sink = evidence_[array_idx].drops;
   if (streaming) {
     // The streamed spectrum covers ALL of this tag's snapshots so far,
@@ -549,79 +549,6 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   return drops.size();
 }
 
-std::size_t DWatchPipeline::observe_batch(
-    std::span<const BatchObservation> batch) {
-  DWATCH_SPAN("pipeline.observe_batch");
-  for (const BatchObservation& item : batch) check_array(item.array_idx);
-
-  // Deterministic merge order: by array index, then EPC, then input
-  // position. The order never depends on worker scheduling, so an
-  // epoch's evidence is bit-identical for every num_workers setting.
-  std::vector<std::size_t> order(batch.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&batch](std::size_t a, std::size_t b) {
-                     return std::tie(batch[a].array_idx, batch[a].epc) <
-                            std::tie(batch[b].array_idx, batch[b].epc);
-                   });
-
-  if (options_.streaming.enabled) {
-    // The streaming path is stateful per (array, tag) — fanning it out
-    // would race on the incremental covariances. Honour the documented
-    // "observe() in sorted order" contract by literally running it.
-    std::size_t total = 0;
-    for (const std::size_t idx : order) {
-      const BatchObservation& item = batch[idx];
-      total += observe(item.array_idx, item.epc, item.snapshots);
-    }
-    return total;
-  }
-
-  // Fan the spectra out: every slot is written by exactly one task, all
-  // shared pipeline state (arrays, calibration, baselines, estimators)
-  // is read-only during the scan.
-  struct ItemResult {
-    bool has_baseline = false;
-    Detection found;
-    double coherence = 0.0;
-    double online_power = 0.0;
-  };
-  std::vector<ItemResult> results(batch.size());
-  const auto process = [&](std::size_t slot) {
-    const BatchObservation& item = batch[order[slot]];
-    const auto it = baselines_[item.array_idx].find(item.epc);
-    if (it == baselines_[item.array_idx].end()) return;
-    results[slot].has_baseline = true;
-    results[slot].coherence = phase_coherence(item.snapshots);
-    results[slot].online_power = mean_power(item.snapshots);
-    const linalg::CMatrix x = calibrated(item.array_idx, item.snapshots);
-    results[slot].found = detect(item.array_idx, item.epc, it->second,
-                                 sample_correlation(x), x.cols());
-  };
-  if (pool_ && pool_->num_workers() > 1) {
-    pool_->parallel_for(batch.size(), process);
-  } else {
-    for (std::size_t slot = 0; slot < batch.size(); ++slot) process(slot);
-  }
-
-  // Serial merge in the sorted order.
-  std::size_t total = 0;
-  for (std::size_t slot = 0; slot < batch.size(); ++slot) {
-    const ItemResult& r = results[slot];
-    const BatchObservation& item = batch[order[slot]];
-    // Same bookkeeping, in the same order, as the serial observe() loop,
-    // so counters, RSS links and phase health are bit-identical too.
-    const std::vector<PathDrop>& drops = r.found.drops;
-    count_observation(r.has_baseline, r.found.widened, drops.size());
-    if (!r.has_baseline) continue;
-    accumulate_rss(item.array_idx, item.epc, r.coherence, r.online_power);
-    auto& sink = evidence_[item.array_idx].drops;
-    sink.insert(sink.end(), drops.begin(), drops.end());
-    total += drops.size();
-  }
-  return total;
-}
-
 std::size_t DWatchPipeline::observe(std::size_t array_idx,
                                     const rfid::TagObservation& obs) {
   check_array(array_idx);
@@ -629,10 +556,8 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   // not pollute this epoch's evidence (quarantined, counted, no abort).
   if (options_.degraded.reject_stale && epoch_.watermark_us > 0 &&
       obs.first_seen_us < epoch_.watermark_us) {
-    ++stats_.stale_observations;
-    ++epoch_.stale_observations;
+    tally(&EvidenceCounters::stale_observations);
     if (dwatch::obs::enabled()) {
-      PipelineCounters::get().stale_observations.inc();
       dwatch::obs::EventLog::global().emit(
           dwatch::obs::Event("pipeline.stale_observation")
               .field("array", array_idx)
@@ -652,10 +577,8 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   } catch (const std::invalid_argument&) {
     // No complete inventory round survived (dead element, sample loss):
     // quarantine the observation instead of aborting the epoch.
-    ++stats_.malformed_observations;
-    ++epoch_.malformed_observations;
+    tally(&EvidenceCounters::malformed_observations);
     if (dwatch::obs::enabled()) {
-      PipelineCounters::get().malformed_observations.inc();
       dwatch::obs::EventLog::global().emit(
           dwatch::obs::Event("pipeline.malformed_observation")
               .field("array", array_idx)
@@ -668,6 +591,11 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
 }
 
 std::vector<AngularEvidence> DWatchPipeline::filtered_evidence() const {
+  return filter_ghosts(/*log_rejections=*/true);
+}
+
+std::vector<AngularEvidence> DWatchPipeline::filter_ghosts(
+    bool log_rejections) const {
   if (!options_.ghost_filtering) return evidence_;
   // How many USABLE arrays each tag dropped at. An excluded array's
   // drops never reach localization, so they must not vote here either:
@@ -701,8 +629,9 @@ std::vector<AngularEvidence> DWatchPipeline::filtered_evidence() const {
         // thrown away and why, the evidence the paper's accuracy
         // argument rests on. filtered_evidence() runs once per
         // localize/triangulate call, so repeated fixes over one epoch
-        // re-emit their rejections (each fix really did reject them).
-        if (obs::enabled()) {
+        // re-emit their rejections (each fix really did reject them);
+        // streaming convergence probes are not fixes and stay silent.
+        if (log_rejections && obs::enabled()) {
           obs::EventLog::global().emit(
               obs::Event("pipeline.ghost_rejected")
                   .field("array", a)
@@ -736,15 +665,7 @@ ConfidenceReport DWatchPipeline::confidence_report() const {
       ++r.arrays_with_evidence;
     }
   }
-  r.observations = epoch_.observations;
-  r.observations_skipped = epoch_.observations_skipped;
-  r.stale_observations = epoch_.stale_observations;
-  r.low_snapshot_observations = epoch_.low_snapshot_observations;
-  r.malformed_observations = epoch_.malformed_observations;
-  r.drops_detected = epoch_.drops_detected;
-  r.reports_dropped = epoch_.reports_dropped;
-  r.transport_retries = epoch_.transport_retries;
-  r.transport_timeouts = epoch_.transport_timeouts;
+  static_cast<EvidenceCounters&>(r) = epoch_;
   r.rss_mode = rss_active();
   r.phase_health = phase_health();
   if (obs::enabled()) {
@@ -790,11 +711,15 @@ ConfidentEstimate DWatchPipeline::localize_with_confidence(
 }
 
 LocationEstimate DWatchPipeline::localize_best_effort() const {
+  return best_effort_fix(/*log_ghosts=*/true);
+}
+
+LocationEstimate DWatchPipeline::best_effort_fix(bool log_ghosts) const {
   if (rss_active()) {
     return rss_localizer_.localize_best_effort(epoch_.rss_links,
                                                excluded_flags());
   }
-  return localizer_.localize_best_effort(filtered_evidence());
+  return localizer_.localize_best_effort(filter_ghosts(log_ghosts));
 }
 
 std::vector<LocationEstimate> DWatchPipeline::localize_multi(

@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -78,20 +77,6 @@ struct StreamingOptions {
   std::size_t min_reports = 4;
   /// Consecutive stable checks required to declare convergence.
   std::size_t convergence_window = 3;
-  /// Position delta between consecutive best-effort fixes below which
-  /// a check counts as stable [m].
-  double position_tolerance_m = 0.05;
-  /// Relative likelihood delta bound for a stable check.
-  double likelihood_tolerance = 0.02;
-  /// Grid stride for the convergence-check localization (the stability
-  /// probe), NOT for the sealed fix — that is always computed at full
-  /// resolution. A stride of s makes each mid-backlog probe ~s^2
-  /// cheaper; stability on the coarse grid means the argmax keeps
-  /// choosing the same cell, which is strictly harder to jitter than
-  /// the full-resolution argmax. Without this, per-observation probes
-  /// cost as much as the spectral work early sealing tries to beat,
-  /// and TTFF stops dropping.
-  std::size_t convergence_grid_stride = 4;
 };
 
 /// Lifetime counters of the streaming path (NOT part of the frozen
@@ -118,9 +103,9 @@ struct PipelineOptions {
   /// Apply the Section 4.3 tag-identity outlier rejection before
   /// localization (see filtered_evidence()).
   bool ghost_filtering = true;
-  /// Worker threads for observe_batch() and the likelihood grid:
-  /// 0 = one per hardware thread, 1 = fully serial (no pool), n = n
-  /// workers. Results are bit-identical for every setting.
+  /// Worker threads for the likelihood grid's rows: 0 = one per
+  /// hardware thread, 1 = fully serial (no pool), n = n workers.
+  /// Results are bit-identical for every setting.
   std::size_t num_workers = 1;
   DegradedModeOptions degraded;
   /// RSS-only degraded localization (see core/rss.hpp). Inert by
@@ -147,34 +132,47 @@ struct BrownoutProfile {
   bool operator==(const BrownoutProfile&) const = default;
 };
 
-/// One (array, tag) online snapshot matrix queued for a batch epoch.
-struct BatchObservation {
-  std::size_t array_idx = 0;
-  rfid::Epc96 epc;
-  linalg::CMatrix snapshots;
+/// The per-observation evidence counters, listed once. Each name is a
+/// field of EvidenceCounters, so it is at the same time a per-epoch
+/// ConfidenceReport count, a lifetime PipelineStats count and (obs on)
+/// the process-wide registry series `dwatch_pipeline_<name>_total`:
+///   observations               online spectra processed
+///   observations_skipped       online without a baseline
+///   drops_detected             peak drops found
+///   stale_observations         rejected by the epoch watermark
+///   low_snapshot_observations  widened-kernel spectra
+///   malformed_observations     wire observations quarantined because
+///                              no complete inventory round survived
+///                              (dead element, heavy sample loss)
+///   reports_dropped            lost/quarantined upstream
+///   transport_retries, transport_timeouts
+#define DWATCH_EVIDENCE_COUNTERS(X) \
+  X(observations)                   \
+  X(observations_skipped)           \
+  X(drops_detected)                 \
+  X(stale_observations)             \
+  X(low_snapshot_observations)      \
+  X(malformed_observations)         \
+  X(reports_dropped)                \
+  X(transport_retries)              \
+  X(transport_timeouts)
+
+struct EvidenceCounters {
+#define DWATCH_EVIDENCE_COUNTER_FIELD(name) std::size_t name = 0;
+  DWATCH_EVIDENCE_COUNTERS(DWATCH_EVIDENCE_COUNTER_FIELD)
+#undef DWATCH_EVIDENCE_COUNTER_FIELD
+
+  bool operator==(const EvidenceCounters&) const = default;
 };
 
 /// Counters exposed for observability (cumulative over the pipeline's
-/// lifetime). Every per-epoch ConfidenceReport counter has a lifetime
-/// twin here, incremented at the same sites, so the sum of per-epoch
-/// reports always equals the lifetime totals (asserted by
-/// tests/obs/pipeline_obs_test). When the obs runtime switch is on,
-/// the same increments are mirrored into process-wide
-/// `dwatch_pipeline_*_total` registry counters.
-struct PipelineStats {
+/// lifetime). The evidence counters are bumped at the same site as the
+/// per-epoch ConfidenceReport ones, so the sum of per-epoch reports
+/// always equals the lifetime totals (asserted by
+/// tests/obs/pipeline_obs_test).
+struct PipelineStats : EvidenceCounters {
   std::size_t baselines = 0;          ///< (array, tag) baselines stored
   std::size_t epochs = 0;             ///< begin_epoch() calls
-  std::size_t observations = 0;       ///< online spectra processed
-  std::size_t observations_skipped = 0;  ///< online without a baseline
-  std::size_t drops_detected = 0;
-  std::size_t stale_observations = 0;  ///< rejected by the epoch watermark
-  std::size_t low_snapshot_observations = 0;  ///< widened-kernel spectra
-  /// Wire observations quarantined because no complete inventory round
-  /// survived (dead element, heavy sample loss) — counted, not thrown.
-  std::size_t malformed_observations = 0;
-  std::size_t reports_dropped = 0;    ///< lost/quarantined upstream
-  std::size_t transport_retries = 0;
-  std::size_t transport_timeouts = 0;
 
   bool operator==(const PipelineStats&) const = default;
 };
@@ -204,20 +202,12 @@ struct PipelineState {
 /// Provenance of ONE localization result: which arrays contributed,
 /// what was lost on the way, how degraded the inputs were. Two runs
 /// with identical inputs (same fault seed) produce bit-identical
-/// reports — asserted by the stress suite.
-struct ConfidenceReport {
+/// reports — asserted by the stress suite. The evidence counters are
+/// this epoch's counts.
+struct ConfidenceReport : EvidenceCounters {
   std::size_t arrays_total = 0;
   std::size_t arrays_with_evidence = 0;  ///< usable (not excluded) arrays
   std::size_t arrays_excluded = 0;       ///< flagged unhealthy/stale
-  std::size_t observations = 0;          ///< spectra in this epoch
-  std::size_t observations_skipped = 0;  ///< no baseline
-  std::size_t stale_observations = 0;    ///< rejected as stale
-  std::size_t low_snapshot_observations = 0;  ///< widened-kernel spectra
-  std::size_t malformed_observations = 0;     ///< no complete round
-  std::size_t drops_detected = 0;
-  std::size_t reports_dropped = 0;   ///< lost/quarantined upstream
-  std::size_t transport_retries = 0;
-  std::size_t transport_timeouts = 0;
   /// This fix came from the RSS-only fallback, not the phase path.
   bool rss_mode = false;
   /// Mean inter-element phase coherence of this epoch's observations
@@ -362,14 +352,6 @@ class DWatchPipeline {
     return converged_;
   }
 
-  /// Step 3, batched: process many (array, tag) snapshots for the
-  /// current epoch, fanning the per-tag P-MUSIC spectra across the
-  /// worker pool (PipelineOptions::num_workers). Equivalent to calling
-  /// observe() on every item sorted by (array index, EPC, input order):
-  /// evidence, stats and results are bit-identical to that serial loop
-  /// for EVERY worker count. Returns the total drops detected.
-  std::size_t observe_batch(std::span<const BatchObservation> batch);
-
   /// Accumulated per-array evidence for the current epoch (raw).
   [[nodiscard]] const std::vector<AngularEvidence>& evidence() const noexcept {
     return evidence_;
@@ -424,8 +406,8 @@ class DWatchPipeline {
   /// Serving-layer hook: replace the worker pool with an externally
   /// owned (typically fleet-shared) one; nullptr reverts to fully
   /// serial. Safe at any epoch boundary — results are bit-identical
-  /// for every pool size, per the observe_batch/likelihood_grid
-  /// determinism contract. The pool must outlive the pipeline.
+  /// for every pool size, per the likelihood-grid determinism
+  /// contract. The pool must outlive the pipeline.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool) noexcept {
     pool_ = std::move(pool);
     localizer_.set_thread_pool(pool_);
@@ -454,7 +436,7 @@ class DWatchPipeline {
 
   /// Row check, copy and phase calibration of one snapshot matrix: the
   /// one pre-processing step (workflow step 2) shared by baselines and
-  /// both online paths.
+  /// online observations.
   [[nodiscard]] linalg::CMatrix calibrated(
       std::size_t array_idx, const linalg::CMatrix& snapshots) const;
   /// Drop detection for one observation with a known baseline, on the
@@ -463,8 +445,7 @@ class DWatchPipeline {
   /// streaming mode). Baseline peak positions come from the P-MUSIC
   /// spectrum; the ONLINE power at those positions is read from the
   /// beamforming power spectrum PB, which is free of MUSIC's
-  /// model-order jitter. Const and side-effect free so batch items can
-  /// run on any worker.
+  /// model-order jitter.
   [[nodiscard]] Detection detect(std::size_t array_idx,
                                  const rfid::Epc96& epc,
                                  const AngularSpectrum& baseline,
@@ -472,24 +453,27 @@ class DWatchPipeline {
                                  std::size_t num_snapshots) const;
   void check_array(std::size_t array_idx) const;
 
-  /// Counts one observation in stats_, epoch_ and the obs counter
-  /// twins: skipped when the tag has no baseline, otherwise observed,
-  /// low-snapshot (exactly when detect() widened its kernel) and its
-  /// drops. The one counting site for both observe() and the
-  /// observe_batch() merge.
-  void count_observation(bool has_baseline, bool widened,
-                         std::size_t num_drops);
+  /// The one counting site: adds `n` to this epoch's and the lifetime
+  /// count of `field` and, with obs on, to its registry series.
+  void tally(std::size_t EvidenceCounters::*field, std::size_t n = 1);
 
   /// Per-epoch RSS bookkeeping for one observation with a stored
   /// baseline: coherence sampling plus (when the tag is surveyed and a
-  /// baseline power exists) the link drop. Shared by observe() and the
-  /// observe_batch() serial merge so both orders are bit-identical.
+  /// baseline power exists) the link drop.
   void accumulate_rss(std::size_t array_idx, const rfid::Epc96& epc,
-                      double coherence, double online_power);
+                      const linalg::CMatrix& snapshots);
   [[nodiscard]] std::vector<std::uint8_t> excluded_flags() const;
 
+  /// filtered_evidence(), logging each rejected ghost only when
+  /// `log_rejections` is set.
+  [[nodiscard]] std::vector<AngularEvidence> filter_ghosts(
+      bool log_rejections) const;
+  /// localize_best_effort() with the ghost filter's logging switch.
+  [[nodiscard]] LocationEstimate best_effort_fix(bool log_ghosts) const;
+
   /// Run one convergence check after a streaming observation; flips
-  /// converged_ once the fix has been stable long enough.
+  /// converged_ once the fix has been stable long enough. The probe is
+  /// not a fix: it logs no ghost rejections.
   void check_convergence();
 
   std::vector<rf::UniformLinearArray> arrays_;
@@ -510,19 +494,11 @@ class DWatchPipeline {
   std::shared_ptr<ThreadPool> pool_;
   /// Active brownout coarsening (default = configured behaviour).
   BrownoutProfile brownout_;
-  /// Per-epoch degraded-mode state (reset by begin_epoch).
-  struct EpochState {
+  /// Per-epoch state (reset by begin_epoch): the evidence counts this
+  /// epoch's ConfidenceReport carries, the staleness watermark and the
+  /// RSS fallback's link evidence + phase-health average.
+  struct EpochState : EvidenceCounters {
     std::uint64_t watermark_us = 0;
-    std::size_t observations = 0;
-    std::size_t observations_skipped = 0;
-    std::size_t stale_observations = 0;
-    std::size_t low_snapshot_observations = 0;
-    std::size_t malformed_observations = 0;
-    std::size_t drops_detected = 0;
-    std::size_t reports_dropped = 0;
-    std::size_t transport_retries = 0;
-    std::size_t transport_timeouts = 0;
-    /// RSS fallback: per-epoch link evidence + phase-health average.
     std::vector<RssLink> rss_links;
     double coherence_sum = 0.0;
     std::size_t coherence_count = 0;

@@ -171,39 +171,6 @@ void ExperimentRunner::run_epoch(std::span<const sim::CylinderTarget> targets,
   }
 }
 
-std::vector<core::BatchObservation> ExperimentRunner::capture_epoch(
-    std::span<const sim::CylinderTarget> targets, rf::Rng& rng) {
-  std::vector<core::BatchObservation> batch;
-  for (std::size_t a = 0; a < scene_.num_arrays(); ++a) {
-    const std::size_t m = scene_.deployment().arrays[a].num_elements();
-    for (std::size_t t = 0; t < scene_.num_tags(); ++t) {
-      if (!scene_.tag_readable(a, t)) continue;
-      core::BatchObservation item;
-      item.array_idx = a;
-      if (options_.through_wire) {
-        const rfid::TagObservation obs =
-            scene_.capture_observation(a, t, targets, rng);
-        item.epc = obs.epc;
-        item.snapshots = core::observation_to_snapshots(obs, m);
-      } else {
-        item.epc = scene_.deployment().tags[t].epc;
-        item.snapshots = scene_.capture(a, t, targets, rng);
-      }
-      batch.push_back(std::move(item));
-    }
-  }
-  return batch;
-}
-
-void ExperimentRunner::run_epoch_batch(
-    std::span<const sim::CylinderTarget> targets, rf::Rng& rng) {
-  DWATCH_SPAN("experiment.epoch");
-  const std::vector<core::BatchObservation> batch =
-      capture_epoch(targets, rng);
-  pipeline_.begin_epoch();
-  (void)pipeline_.observe_batch(batch);
-}
-
 core::LocationEstimate ExperimentRunner::run_fix(
     std::span<const sim::CylinderTarget> targets, rf::Rng& rng) {
   run_epoch(targets, rng);

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -94,17 +95,6 @@ class ExperimentRunner {
   /// Feed one epoch of observations without localizing (exposes the
   /// evidence for custom consumers, e.g. heatmaps).
   void run_epoch(std::span<const sim::CylinderTarget> targets, rf::Rng& rng);
-
-  /// Capture one epoch's observations as a batch WITHOUT feeding the
-  /// pipeline — same capture order (array-major, then tag) and RNG
-  /// consumption as run_epoch, so feeding the result to
-  /// pipeline().observe_batch() reproduces run_epoch exactly.
-  [[nodiscard]] std::vector<core::BatchObservation> capture_epoch(
-      std::span<const sim::CylinderTarget> targets, rf::Rng& rng);
-
-  /// run_epoch through the batched, multi-worker pipeline path.
-  void run_epoch_batch(std::span<const sim::CylinderTarget> targets,
-                       rf::Rng& rng);
 
  private:
   const sim::Scene& scene_;

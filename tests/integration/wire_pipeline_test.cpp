@@ -24,7 +24,7 @@ sim::Scene make_scene() {
 
 /// Encode per-(array,tag) observations as one RO_ACCESS_REPORT per array
 /// and return the framed byte streams.
-std::vector<std::vector<std::uint8_t>> capture_epoch_bytes(
+std::vector<std::vector<std::uint8_t>> encode_epoch_reports(
     const sim::Scene& scene, std::span<const sim::CylinderTarget> targets,
     rf::Rng& rng) {
   std::vector<std::vector<std::uint8_t>> streams;
@@ -57,7 +57,7 @@ TEST(WirePipeline, BytesInFixOut) {
   rf::Rng rng(3);
   // Baseline epoch over the wire.
   for (std::size_t a = 0;
-       const auto& bytes : capture_epoch_bytes(scene, {}, rng)) {
+       const auto& bytes : encode_epoch_reports(scene, {}, rng)) {
     rfid::LlrpStreamDecoder decoder;
     // Chunked feed, 11 bytes at a time.
     for (std::size_t pos = 0; pos < bytes.size(); pos += 11) {
@@ -78,7 +78,7 @@ TEST(WirePipeline, BytesInFixOut) {
   const std::vector<sim::CylinderTarget> targets{target};
   pipeline.begin_epoch();
   for (std::size_t a = 0;
-       const auto& bytes : capture_epoch_bytes(scene, targets, rng)) {
+       const auto& bytes : encode_epoch_reports(scene, targets, rng)) {
     rfid::LlrpStreamDecoder decoder;
     decoder.feed(bytes);
     const auto report = decoder.next_report();

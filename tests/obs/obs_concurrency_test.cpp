@@ -1,5 +1,5 @@
 // Concurrency suite for the obs layer, driven by the repo's own
-// core::ThreadPool (the same pool that runs observe_batch, so the
+// core::ThreadPool (the same pool that runs the likelihood grid, so the
 // contention pattern matches production). Runs under the `tsan` ctest
 // label: a ThreadSanitizer tree (cmake -DDWATCH_SANITIZE=thread)
 // executes exactly these via the top-level tsan_check target.

@@ -77,28 +77,59 @@ struct ReportSums {
   }
 };
 
+/// Drives every evidence counter: kEpochs simulated epochs with upstream
+/// losses noted on the second, then one hand-fed epoch holding a stale
+/// retransmission, a malformed observation, a low-snapshot observation
+/// and an unknown tag next to one clean observation. Returns the
+/// per-epoch confidence reports summed.
+ReportSums run_every_counter(harness::ExperimentRunner& runner,
+                             const sim::Scene& scene, rf::Rng& rng) {
+  const std::vector<sim::CylinderTarget> targets{
+      sim::CylinderTarget::human({3.0, 4.0})};
+  core::DWatchPipeline& pipe = runner.pipeline();
+  ReportSums sums;
+  for (std::size_t e = 0; e < kEpochs; ++e) {
+    runner.run_epoch(targets, rng);
+    if (e == 1) {
+      pipe.note_transport(/*retries=*/2, /*timeouts=*/1);
+      pipe.note_reports_dropped(3);
+    }
+    sums.add(pipe.localize_with_confidence(true).confidence);
+  }
+
+  std::size_t tag = 0;
+  while (!scene.tag_readable(0, tag)) ++tag;
+  constexpr std::uint64_t kWatermarkUs = 1'000'000;
+  pipe.begin_epoch(kWatermarkUs);
+  // A retransmission of a previous epoch's report: stale.
+  (void)pipe.observe(
+      0, scene.capture_observation(0, tag, targets, rng, kWatermarkUs - 1));
+  // No sample survived, so no complete inventory round: malformed.
+  rfid::TagObservation empty =
+      scene.capture_observation(0, tag, targets, rng, kWatermarkUs + 1);
+  empty.samples.clear();
+  (void)pipe.observe(0, empty);
+  const linalg::CMatrix clean = scene.capture(0, tag, targets, rng);
+  const rfid::Epc96& epc = scene.deployment().tags[tag].epc;
+  (void)pipe.observe(0, epc, clean);
+  // Fewer columns than degraded.min_snapshots: low-snapshot.
+  (void)pipe.observe(0, epc, clean.block(0, 0, clean.rows(), 4));
+  // A tag with no baseline: skipped.
+  (void)pipe.observe(0, rfid::Epc96::for_tag_index(9999), clean);
+  sums.add(pipe.localize_with_confidence(true).confidence);
+  return sums;
+}
+
 TEST(PipelineObs, LifetimeTotalsEqualPerEpochSums) {
   const sim::Scene scene = make_scene();
   harness::ExperimentRunner runner(scene, runner_options());
   seed_calibration(runner, scene);
   rf::Rng rng(9);
   runner.collect_baselines(rng);
-
-  const std::vector<sim::CylinderTarget> targets{
-      sim::CylinderTarget::human({3.0, 4.0})};
-  ReportSums sums;
-  for (std::size_t e = 0; e < kEpochs; ++e) {
-    runner.run_epoch(targets, rng);
-    if (e == 1) {
-      // Upstream loss accounting flows through the same twin scheme.
-      runner.pipeline().note_transport(/*retries=*/2, /*timeouts=*/1);
-      runner.pipeline().note_reports_dropped(3);
-    }
-    sums.add(runner.pipeline().localize_with_confidence(true).confidence);
-  }
+  const ReportSums sums = run_every_counter(runner, scene, rng);
 
   const core::PipelineStats& stats = runner.pipeline().stats();
-  EXPECT_EQ(stats.epochs, kEpochs);
+  EXPECT_EQ(stats.epochs, kEpochs + 1);
   EXPECT_EQ(stats.observations, sums.observations);
   EXPECT_EQ(stats.observations_skipped, sums.observations_skipped);
   EXPECT_EQ(stats.stale_observations, sums.stale_observations);
@@ -109,9 +140,13 @@ TEST(PipelineObs, LifetimeTotalsEqualPerEpochSums) {
   EXPECT_EQ(stats.reports_dropped, sums.reports_dropped);
   EXPECT_EQ(stats.transport_retries, sums.transport_retries);
   EXPECT_EQ(stats.transport_timeouts, sums.transport_timeouts);
-  // The run actually exercised the interesting counters.
+  // The run actually exercised every counter.
   EXPECT_GT(sums.observations, 0u);
   EXPECT_GT(sums.drops_detected, 0u);
+  EXPECT_EQ(sums.observations_skipped, 1u);
+  EXPECT_EQ(sums.stale_observations, 1u);
+  EXPECT_EQ(sums.malformed_observations, 1u);
+  EXPECT_EQ(sums.low_snapshot_observations, 1u);
   EXPECT_EQ(sums.reports_dropped, 3u);
   EXPECT_EQ(sums.transport_retries, 2u);
   EXPECT_EQ(sums.transport_timeouts, 1u);
@@ -123,42 +158,48 @@ TEST(PipelineObs, RegistryCountersMirrorLifetimeTotals) {
   // The registry is process-global and other tests may have touched the
   // pipeline counters: assert on DELTAS around this run.
   auto& reg = obs::MetricsRegistry::global();
-  const auto value = [&reg](const char* name) {
-    return reg.counter(name).value();
+  const auto value = [&reg](const std::string& field) {
+    return reg.counter("dwatch_pipeline_" + field + "_total").value();
   };
-  const std::uint64_t epochs0 = value("dwatch_pipeline_epochs_total");
-  const std::uint64_t obs0 = value("dwatch_pipeline_observations_total");
-  const std::uint64_t drops0 = value("dwatch_pipeline_drops_detected_total");
-  const std::uint64_t rep0 = value("dwatch_pipeline_reports_dropped_total");
-  const std::uint64_t retry0 =
-      value("dwatch_pipeline_transport_retries_total");
+  const std::vector<std::string> fields{
+      "epochs",
+      "observations",
+      "observations_skipped",
+      "drops_detected",
+      "stale_observations",
+      "low_snapshot_observations",
+      "malformed_observations",
+      "reports_dropped",
+      "transport_retries",
+      "transport_timeouts"};
+  std::vector<std::uint64_t> before;
+  for (const std::string& f : fields) before.push_back(value(f));
 
   const sim::Scene scene = make_scene();
   harness::ExperimentRunner runner(scene, runner_options());
   seed_calibration(runner, scene);
   rf::Rng rng(9);
   runner.collect_baselines(rng);
-  const std::vector<sim::CylinderTarget> targets{
-      sim::CylinderTarget::human({3.0, 4.0})};
-
   obs::set_enabled(true);
-  for (std::size_t e = 0; e < kEpochs; ++e) {
-    runner.run_epoch(targets, rng);
-  }
-  runner.pipeline().note_transport(2, 1);
-  runner.pipeline().note_reports_dropped(3);
+  (void)run_every_counter(runner, scene, rng);
   obs::set_enabled(false);
 
-  const core::PipelineStats& stats = runner.pipeline().stats();
-  EXPECT_EQ(value("dwatch_pipeline_epochs_total") - epochs0, stats.epochs);
-  EXPECT_EQ(value("dwatch_pipeline_observations_total") - obs0,
-            stats.observations);
-  EXPECT_EQ(value("dwatch_pipeline_drops_detected_total") - drops0,
-            stats.drops_detected);
-  EXPECT_EQ(value("dwatch_pipeline_reports_dropped_total") - rep0,
-            stats.reports_dropped);
-  EXPECT_EQ(value("dwatch_pipeline_transport_retries_total") - retry0,
-            stats.transport_retries);
+  const core::PipelineStats& s = runner.pipeline().stats();
+  const std::vector<std::size_t> lifetime{
+      s.epochs,
+      s.observations,
+      s.observations_skipped,
+      s.drops_detected,
+      s.stale_observations,
+      s.low_snapshot_observations,
+      s.malformed_observations,
+      s.reports_dropped,
+      s.transport_retries,
+      s.transport_timeouts};
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_GT(lifetime[i], 0u) << fields[i];
+    EXPECT_EQ(value(fields[i]) - before[i], lifetime[i]) << fields[i];
+  }
 }
 
 TEST(PipelineObs, LocalizationBitIdenticalWithObsOnAndOff) {
@@ -220,6 +261,48 @@ TEST(PipelineObs, GhostRejectionEmitsOutlierEvent) {
     }
   }
   EXPECT_GT(ghost_events, 0u);
+}
+
+TEST(PipelineObs, StreamingProbesLogOnlyTheSealedFixGhosts) {
+  // Convergence probes are not fixes: a streaming epoch must log exactly
+  // the rejections of its sealed fix, not one more batch per probe.
+  const sim::Scene scene = make_scene();
+  harness::RunnerOptions opts = runner_options();
+  opts.pipeline.streaming.enabled = true;
+  harness::ExperimentRunner runner(scene, opts);
+  seed_calibration(runner, scene);
+  rf::Rng rng(9);
+  runner.collect_baselines(rng);
+  const rf::Vec3 tag0 = scene.deployment().tags[0].position;
+  // The lurker's ghost plus a second person, so every array holds a
+  // drop and the convergence probes run.
+  const std::vector<sim::CylinderTarget> targets{
+      sim::CylinderTarget::human({tag0.x + 0.25, tag0.y}),
+      sim::CylinderTarget::human({3.0, 4.0})};
+
+  obs::EventLog::global().clear();
+  obs::set_enabled(true);
+  runner.run_epoch(targets, rng);
+  (void)runner.pipeline().localize_with_confidence(true);
+  obs::set_enabled(false);
+
+  std::size_t ghost_events = 0;
+  for (const std::string& line : obs::EventLog::global().snapshot()) {
+    if (line.find("\"type\":\"pipeline.ghost_rejected\"") !=
+        std::string::npos) {
+      ++ghost_events;
+    }
+  }
+  // What the sealed fix rejected: every raw drop the filter removed.
+  std::size_t rejected = 0;
+  const auto filtered = runner.pipeline().filtered_evidence();
+  for (std::size_t a = 0; a < filtered.size(); ++a) {
+    rejected += runner.pipeline().evidence()[a].drops.size() -
+                filtered[a].drops.size();
+  }
+  ASSERT_GT(runner.pipeline().streaming_stats().convergence_checks, 0u);
+  ASSERT_GT(rejected, 0u) << "fixture rejected no ghost";
+  EXPECT_EQ(ghost_events, rejected);
 }
 
 #endif  // DWATCH_OBS_ENABLED
