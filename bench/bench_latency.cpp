@@ -7,6 +7,8 @@
 // the DESIGN.md calls out.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench_reporter.hpp"
 
 #include "bench_util.hpp"
@@ -87,27 +89,45 @@ void BM_FullFix(benchmark::State& state) {
 }
 BENCHMARK(BM_FullFix)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_LocalizeOnly(benchmark::State& state) {
-  const bool hill = state.range(0) != 0;
+/// A runner that has observed one library epoch with a person at
+/// (3, 4), ready to localize.
+std::unique_ptr<harness::ExperimentRunner> observed_epoch(bool hill) {
   const sim::Scene& scene = shared_scene();
   harness::RunnerOptions opts;
   opts.calibrate = false;
   opts.through_wire = false;
   opts.pipeline.localizer.hill_climbing = hill;
-  harness::ExperimentRunner runner(scene, opts);
+  auto runner = std::make_unique<harness::ExperimentRunner>(scene, opts);
   rf::Rng rng(9);
   for (std::size_t a = 0; a < scene.num_arrays(); ++a) {
-    runner.pipeline().set_calibration(a, scene.reader(a).phase_offsets());
+    runner->pipeline().set_calibration(a, scene.reader(a).phase_offsets());
   }
-  runner.collect_baselines(rng);
+  runner->collect_baselines(rng);
   const sim::CylinderTarget target = sim::CylinderTarget::human({3.0, 4.0});
   const std::vector<sim::CylinderTarget> targets{target};
-  runner.run_epoch(targets, rng);
+  runner->run_epoch(targets, rng);
+  return runner;
+}
+
+void BM_LocalizeOnly(benchmark::State& state) {
+  const auto runner = observed_epoch(state.range(0) != 0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.pipeline().localize_best_effort());
+    benchmark::DoNotOptimize(runner->pipeline().localize_best_effort());
   }
 }
 BENCHMARK(BM_LocalizeOnly)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// Reference row for BM_LocalizeOnly: the dense heatmap grid (every cell
+/// evaluated, serial) on the same epoch. The exact branch-and-bound
+/// search of BM_LocalizeOnly/0 returns the same peaks as a scan of this
+/// grid; hill climbing (/1) may miss some.
+void BM_LikelihoodGrid(benchmark::State& state) {
+  const auto runner = observed_epoch(false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runner->pipeline().likelihood_grid());
+  }
+}
+BENCHMARK(BM_LikelihoodGrid)->Unit(benchmark::kMillisecond);
 
 void BM_CalibrationSolve(benchmark::State& state) {
   const sim::Scene& scene = shared_scene();

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <queue>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -67,6 +72,17 @@ double Localizer::global_drop_norm(
 }
 
 namespace {
+
+/// Cells per side of a branch-and-bound block of the grid search (the
+/// last block of a row or column may be partial).
+constexpr std::size_t kBlockCells = 8;
+/// Slack [rad] on a block's bearing interval. acos loses up to ~5e-8 rad
+/// next to bearings 0 and pi, so a cell's computed bearing may stray
+/// that far outside its block's corner interval; the pad keeps it in.
+constexpr double kBearingPad = 1e-6;
+/// Relative slack on a block bound, for the rounding of exp and of the
+/// product over arrays.
+constexpr double kBoundSlack = 1e-9;
 
 /// One detected drop reduced to what the evidence kernel reads.
 struct Kernel {
@@ -231,7 +247,7 @@ std::vector<LocationEstimate> Localizer::candidates(
     const KernelTable& table) const {
   std::vector<LocationEstimate> found = options_.hill_climbing
                                             ? hill_climb_candidates(table)
-                                            : grid_candidates(table);
+                                            : grid_search(table);
   // Both producers promise candidate_order() — consensus_select would
   // mask a violation by re-sorting, so check the contract here.
   assert(std::is_sorted(found.begin(), found.end(), candidate_order));
@@ -239,37 +255,195 @@ std::vector<LocationEstimate> Localizer::candidates(
 }
 
 std::vector<LocationEstimate> Localizer::grid_candidates(
-    const KernelTable& table) const {
-  const LikelihoodGrid grid = likelihood_grid(table);
-  std::vector<LocationEstimate> candidates;
-  for (std::size_t iy = 0; iy < grid.ny; ++iy) {
-    for (std::size_t ix = 0; ix < grid.nx; ++ix) {
-      const double v = grid.at(ix, iy);
-      bool is_max = true;
-      for (int dy = -1; dy <= 1 && is_max; ++dy) {
-        for (int dx = -1; dx <= 1 && is_max; ++dx) {
-          if (dx == 0 && dy == 0) continue;
-          const auto jx = static_cast<std::ptrdiff_t>(ix) + dx;
-          const auto jy = static_cast<std::ptrdiff_t>(iy) + dy;
-          if (jx < 0 || jy < 0 ||
-              jx >= static_cast<std::ptrdiff_t>(grid.nx) ||
-              jy >= static_cast<std::ptrdiff_t>(grid.ny)) {
-            continue;
-          }
-          if (grid.at(static_cast<std::size_t>(jx),
-                      static_cast<std::size_t>(jy)) > v) {
-            is_max = false;
-          }
+    std::span<const AngularEvidence> evidence) const {
+  if (evidence.size() != arrays_.size()) {
+    throw std::invalid_argument("grid_candidates: evidence count mismatch");
+  }
+  return grid_search(kernel_table(evidence));
+}
+
+double Localizer::block_bound(const KernelTable& table, rf::Vec2 low,
+                              rf::Vec2 high) const {
+  const rf::Vec2 corners[4] = {
+      low, {high.x, low.y}, {low.x, high.y}, high};
+  double bound = 1.0;
+  for (std::size_t i = 0; i < arrays_.size(); ++i) {
+    if (table.arrays[i].empty()) continue;
+    const rf::UniformLinearArray& array = arrays_[i];
+    const rf::Vec2 axis = array.axis();
+    // Off the array's axis line, a convex block sees the array within
+    // the bearing interval its corners span.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double lo = kInf;
+    double hi = -kInf;
+    double side_min = kInf;
+    double side_max = -kInf;
+    double along_min = kInf;
+    double along_max = -kInf;
+    bool undefined = false;
+    for (const rf::Vec2 corner : corners) {
+      const rf::Vec2 r = corner - array.center().xy();
+      // No bearing from the array's own center (and no cell there is a
+      // candidate: too_close_to_array).
+      if (r.x == 0.0 && r.y == 0.0) {
+        undefined = true;
+        break;
+      }
+      const double theta = array.arrival_angle_planar(corner);
+      lo = std::min(lo, theta);
+      hi = std::max(hi, theta);
+      side_min = std::min(side_min, axis.cross(r));
+      side_max = std::max(side_max, axis.cross(r));
+      along_min = std::min(along_min, axis.dot(r));
+      along_max = std::max(along_max, axis.dot(r));
+    }
+    // Where the block touches the axis line, it reaches bearing 0 (the
+    // -axis ray) or pi (the +axis ray); a block around the array, or
+    // with a corner on it, reaches both.
+    if (undefined) {
+      lo = 0.0;
+      hi = rf::kPi;
+    } else if (side_min <= 0.0 && side_max >= 0.0) {
+      if (along_min <= 0.0) lo = 0.0;
+      if (along_max >= 0.0) hi = rf::kPi;
+    }
+    lo = std::max(0.0, lo - kBearingPad);
+    hi = std::min(rf::kPi, hi + kBearingPad);
+    double best = 0.0;
+    for (const Kernel& k : table.arrays[i]) {
+      if (k.weight <= best) break;  // the exact early exit of max_kernel
+      const double d =
+          k.theta < lo ? lo - k.theta : (k.theta > hi ? k.theta - hi : 0.0);
+      best = std::max(best, k.weight * std::exp(-d * d * k.inv));
+    }
+    bound *= options_.epsilon + best;
+  }
+  return bound * (1.0 + kBoundSlack);
+}
+
+std::vector<LocationEstimate> Localizer::grid_search(
+    const KernelTable& table, std::optional<double> relative_floor) const {
+  DWATCH_SPAN("localize.grid");
+  const LikelihoodGrid grid = grid_shape();
+  const std::size_t nx = grid.nx;
+  const std::size_t ny = grid.ny;
+  const std::size_t bnx = (nx + kBlockCells - 1) / kBlockCells;
+  const std::size_t bny = (ny + kBlockCells - 1) / kBlockCells;
+  const auto block_of = [&](std::size_t ix, std::size_t iy) {
+    return iy / kBlockCells * bnx + ix / kBlockCells;
+  };
+
+  // Every block's bound, then the blocks best-first (ties in scan order).
+  std::vector<double> bound(bnx * bny);
+  for (std::size_t by = 0; by < bny; ++by) {
+    for (std::size_t bx = 0; bx < bnx; ++bx) {
+      const std::size_t x1 = std::min(nx, (bx + 1) * kBlockCells) - 1;
+      const std::size_t y1 = std::min(ny, (by + 1) * kBlockCells) - 1;
+      bound[by * bnx + bx] =
+          block_bound(table, grid.point(bx * kBlockCells, by * kBlockCells),
+                      grid.point(x1, y1));
+    }
+  }
+  std::vector<std::size_t> order(bound.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return bound[a] > bound[b] || (bound[a] == bound[b] && a < b);
+  });
+
+  // The threshold T: the kMaxCandidates-th best confirmed local maximum,
+  // or relative_floor times the best one. It only rises.
+  double threshold = -std::numeric_limits<double>::infinity();
+  double best = threshold;
+  std::priority_queue<double, std::vector<double>, std::greater<>> top;
+  const auto confirm = [&](double v) {
+    if (relative_floor) {
+      best = std::max(best, v);
+      threshold = *relative_floor * best;
+      return;
+    }
+    top.push(v);
+    if (top.size() > kMaxCandidates) top.pop();
+    if (top.size() == kMaxCandidates) threshold = top.top();
+  };
+
+  // Cell state: kDead covers cells not yet evaluated and cells with a
+  // strictly higher evaluated neighbour. A kOpen cell has none (yet); a
+  // kConfirmed one is a proven local maximum.
+  enum : std::uint8_t { kDead, kOpen, kConfirmed };
+  std::vector<double> values(nx * ny);
+  std::vector<std::uint8_t> state(nx * ny, kDead);
+  std::vector<std::uint8_t> evaluated(bound.size(), 0);
+  std::vector<std::size_t> open;  // cells kOpen when their block ran
+  // Re-examines an open cell against its neighbours: one evaluated above
+  // it kills it; it is confirmed once every unevaluated neighbour lies
+  // in a block whose bound does not exceed its value.
+  const auto settle = [&](std::size_t ix, std::size_t iy) {
+    const std::size_t cell = iy * nx + ix;
+    if (state[cell] != kOpen) return;
+    const double v = values[cell];
+    bool sure = true;
+    for (std::size_t jy = iy == 0 ? 0 : iy - 1; jy <= std::min(iy + 1, ny - 1);
+         ++jy) {
+      for (std::size_t jx = ix == 0 ? 0 : ix - 1;
+           jx <= std::min(ix + 1, nx - 1); ++jx) {
+        const std::size_t b = block_of(jx, jy);
+        if (!evaluated[b]) {
+          sure = sure && bound[b] <= v;
+        } else if (values[jy * nx + jx] > v) {
+          state[cell] = kDead;
+          return;
         }
       }
-      if (is_max) {
-        candidates.push_back(
-            LocationEstimate{grid.point(ix, iy), v, 0, false});
+    }
+    if (sure) {
+      state[cell] = kConfirmed;
+      confirm(v);
+    }
+  };
+
+  for (const std::size_t b : order) {
+    // Every block from here on is bounded below T: none of its cells can
+    // be a local maximum at or above T, nor outrank a neighbour that is.
+    if (bound[b] < threshold) break;
+    const std::size_t x0 = b % bnx * kBlockCells;
+    const std::size_t y0 = b / bnx * kBlockCells;
+    const std::size_t x1 = std::min(nx, x0 + kBlockCells);
+    const std::size_t y1 = std::min(ny, y0 + kBlockCells);
+    for (std::size_t iy = y0; iy < y1; ++iy) {
+      for (std::size_t ix = x0; ix < x1; ++ix) {
+        values[iy * nx + ix] = likelihood_at(grid.point(ix, iy), table);
+      }
+    }
+    evaluated[b] = 1;
+    for (std::size_t iy = y0; iy < y1; ++iy) {
+      for (std::size_t ix = x0; ix < x1; ++ix) {
+        const std::size_t cell = iy * nx + ix;
+        state[cell] = kOpen;
+        settle(ix, iy);
+        if (state[cell] != kDead) open.push_back(cell);
+      }
+    }
+    // The ring of already evaluated cells around the block now has every
+    // neighbour it will get from this block.
+    for (std::size_t iy = y0 == 0 ? 0 : y0 - 1; iy <= std::min(y1, ny - 1);
+         ++iy) {
+      for (std::size_t ix = x0 == 0 ? 0 : x0 - 1; ix <= std::min(x1, nx - 1);
+           ++ix) {
+        if (iy < y0 || iy >= y1 || ix < x0 || ix >= x1) settle(ix, iy);
       }
     }
   }
-  std::sort(candidates.begin(), candidates.end(), candidate_order);
-  return candidates;
+
+  // An open cell at or above T is a local maximum: its unevaluated
+  // neighbours are all bounded below T.
+  std::vector<LocationEstimate> found;
+  for (const std::size_t cell : open) {
+    if (state[cell] == kDead || values[cell] < threshold) continue;
+    found.push_back(LocationEstimate{grid.point(cell % nx, cell / nx),
+                                     values[cell], 0, false});
+  }
+  std::sort(found.begin(), found.end(), candidate_order);
+  return found;
 }
 
 std::vector<LocationEstimate> Localizer::hill_climb_candidates(
@@ -413,7 +587,8 @@ std::vector<LocationEstimate> Localizer::localize_multi(
     return out;
   }
   const KernelTable table = kernel_table(evidence);
-  std::vector<LocationEstimate> candidates = grid_candidates(table);
+  std::vector<LocationEstimate> candidates =
+      grid_search(table, relative_floor);
   if (candidates.empty()) return out;
 
   const double floor = candidates.front().likelihood * relative_floor;
@@ -438,8 +613,7 @@ LikelihoodGrid Localizer::likelihood_grid(
   return likelihood_grid(kernel_table(evidence));
 }
 
-LikelihoodGrid Localizer::likelihood_grid(const KernelTable& table) const {
-  DWATCH_SPAN("localize.grid");
+LikelihoodGrid Localizer::grid_shape() const {
   LikelihoodGrid grid;
   grid.origin = bounds_.min;
   grid.step = effective_grid_step();
@@ -449,6 +623,12 @@ LikelihoodGrid Localizer::likelihood_grid(const KernelTable& table) const {
   grid.ny = static_cast<std::size_t>(
                 std::floor((bounds_.max.y - bounds_.min.y) / grid.step)) +
             1;
+  return grid;
+}
+
+LikelihoodGrid Localizer::likelihood_grid(const KernelTable& table) const {
+  DWATCH_SPAN("localize.grid");
+  LikelihoodGrid grid = grid_shape();
   grid.values.resize(grid.nx * grid.ny);
   // Each row writes only its own disjoint slice of grid.values and reads
   // the kernel table read-only, so the parallel and serial paths produce

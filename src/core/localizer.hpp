@@ -5,8 +5,10 @@
 //                     drop_fraction * gaussian(theta - theta_drop)
 // and the target likelihood at a candidate position O is
 //   L(O) = prod_i (epsilon + dOmega_i(theta_i(O)))            (Eq. 15)
-// maximized over a grid (5x5 cm rooms, 2x2 cm table) either exhaustively
-// or with the paper's multi-start hill climbing. "Wrong angles" from
+// maximized over a grid (5x5 cm rooms, 2x2 cm table) either by an exact
+// branch-and-bound search, which returns the same local maxima as a scan
+// of every cell, or by the paper's multi-start hill climbing, which may
+// miss some. "Wrong angles" from
 // pre-reflection blockage simply fail to accumulate consensus across
 // readers; an explicit ray-triangulation outlier rejector is provided in
 // triangulate.hpp for the paper's single-target argument.
@@ -14,6 +16,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -136,10 +139,11 @@ class Localizer {
   [[nodiscard]] double likelihood_at(
       rf::Vec2 point, std::span<const AngularEvidence> evidence) const;
 
-  /// Attach a worker pool; likelihood_grid() then computes its rows in
-  /// parallel. Results are bit-identical with or without a pool (rows
-  /// are independent and write disjoint slots). Pass nullptr to go back
-  /// to serial.
+  /// Attach a worker pool; likelihood_grid() then computes its heatmap
+  /// rows in parallel. Results are bit-identical with or without a pool
+  /// (rows are independent and write disjoint slots). The searches behind
+  /// localize(), localize_best_effort() and localize_multi() are serial
+  /// and never use it. Pass nullptr to go back to serial.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool) noexcept {
     pool_ = std::move(pool);
   }
@@ -218,6 +222,14 @@ class Localizer {
   [[nodiscard]] LikelihoodGrid likelihood_grid(
       std::span<const AngularEvidence> evidence) const;
 
+  /// The grid search's candidate list: every local maximum of the
+  /// likelihood grid (no neighbour strictly higher) whose value is at
+  /// least the kMaxCandidates-th highest one, ties included, sorted by
+  /// candidate_order(). Its first kMaxCandidates entries are those of a
+  /// scan of every cell. Exposed for the oracle tests.
+  [[nodiscard]] std::vector<LocationEstimate> grid_candidates(
+      std::span<const AngularEvidence> evidence) const;
+
  private:
   /// The evidence reduced once per search (defined in localizer.cpp):
   /// per usable array, each drop's bearing, weight and kernel
@@ -243,19 +255,31 @@ class Localizer {
   [[nodiscard]] LocationEstimate consensus_select(
       std::vector<LocationEstimate> candidates, const KernelTable& table,
       std::size_t min_arrays) const;
+  /// The grid's origin, step and size at the current stride (no values).
+  [[nodiscard]] LikelihoodGrid grid_shape() const;
   [[nodiscard]] LikelihoodGrid likelihood_grid(const KernelTable& table) const;
   /// Likelihood peaks from the configured search mode (grid or hill
   /// climbing), sorted by candidate_order().
   [[nodiscard]] std::vector<LocationEstimate> candidates(
       const KernelTable& table) const;
-  /// Local maxima of the likelihood grid. Ordering contract (shared
-  /// with hill_climb_candidates): the returned list is sorted by
-  /// candidate_order() — strictly ranked even through likelihood ties,
-  /// so downstream caps and front() reads are deterministic.
-  [[nodiscard]] std::vector<LocationEstimate> grid_candidates(
-      const KernelTable& table) const;
+  /// Upper bound on likelihood_at() over the grid cells of the block
+  /// with corner cells `low` and `high`.
+  [[nodiscard]] double block_bound(const KernelTable& table, rf::Vec2 low,
+                                   rf::Vec2 high) const;
+  /// Exact branch-and-bound over blocks of grid cells, best bound first:
+  /// every local maximum of the likelihood grid at or above a threshold
+  /// T, with the value the full grid would hold. T is the
+  /// kMaxCandidates-th best proven maximum, or `relative_floor` times
+  /// the best one when given; a block bounded below T is never
+  /// evaluated. Ordering contract (shared with hill_climb_candidates):
+  /// the list is sorted by candidate_order() — strictly ranked even
+  /// through likelihood ties, so downstream caps and front() reads are
+  /// deterministic.
+  [[nodiscard]] std::vector<LocationEstimate> grid_search(
+      const KernelTable& table,
+      std::optional<double> relative_floor = std::nullopt) const;
   /// Multi-start ascent candidates; same candidate_order() contract as
-  /// grid_candidates().
+  /// grid_search().
   [[nodiscard]] std::vector<LocationEstimate> hill_climb_candidates(
       const KernelTable& table) const;
 

@@ -183,6 +183,7 @@ void DWatchPipeline::set_brownout(const BrownoutProfile& profile) {
   brownout_ = profile;
   if (brownout_.grid_stride < 1) brownout_.grid_stride = 1;
   localizer_.set_grid_stride(brownout_.grid_stride);
+  rss_localizer_.set_grid_stride(brownout_.grid_stride);
   // Effective rank: 0 in the profile keeps the configured rank; both
   // set -> the smaller (coarser, cheaper) one wins. Clearing the
   // profile therefore restores the configured value exactly.

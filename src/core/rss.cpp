@@ -50,6 +50,13 @@ RssLocalizer::RssLocalizer(std::vector<rf::Vec2> array_centers,
   inv_2s2_ = 1.0 / (2.0 * options_.lateral_sigma * options_.lateral_sigma);
 }
 
+double RssLocalizer::effective_grid_step() const noexcept {
+  // Stride 1 returns the configured step VERBATIM, as in the phase
+  // localizer, so the un-browned path is bit-identical by construction.
+  if (grid_stride_ == 1) return grid_step_;
+  return grid_step_ * static_cast<double>(grid_stride_);
+}
+
 double RssLocalizer::global_drop_norm(
     std::span<const RssLink> links, std::span<const std::uint8_t> excluded) {
   double norm = 0.0;
@@ -253,12 +260,12 @@ LikelihoodGrid RssLocalizer::likelihood_grid(
     std::span<const std::uint8_t> excluded) const {
   LikelihoodGrid grid;
   grid.origin = bounds_.min;
-  grid.step = grid_step_;
+  grid.step = effective_grid_step();
   grid.nx = static_cast<std::size_t>(
-                std::floor((bounds_.max.x - bounds_.min.x) / grid_step_)) +
+                std::floor((bounds_.max.x - bounds_.min.x) / grid.step)) +
             1;
   grid.ny = static_cast<std::size_t>(
-                std::floor((bounds_.max.y - bounds_.min.y) / grid_step_)) +
+                std::floor((bounds_.max.y - bounds_.min.y) / grid.step)) +
             1;
   grid.values.resize(grid.nx * grid.ny);
   const double norm = global_drop_norm(links, excluded);

@@ -129,12 +129,22 @@ class RssLocalizer {
       std::size_t max_targets, double min_separation = 0.25,
       double relative_floor = 0.35) const;
 
+  /// Brownout knob, the same rule as Localizer::set_grid_stride: the
+  /// grid step becomes grid_step * stride (clamped up to 1), and stride
+  /// 1 restores the construction-time step verbatim.
+  void set_grid_stride(std::size_t stride) noexcept {
+    grid_stride_ = stride < 1 ? 1 : stride;
+  }
+
   /// Dense likelihood map (heatmaps, same layout as the phase grid).
   [[nodiscard]] LikelihoodGrid likelihood_grid(
       std::span<const RssLink> links,
       std::span<const std::uint8_t> excluded) const;
 
  private:
+  /// The configured grid step times the stride: the step every search
+  /// uses.
+  [[nodiscard]] double effective_grid_step() const noexcept;
   [[nodiscard]] std::size_t usable_arrays(
       std::span<const RssLink> links,
       std::span<const std::uint8_t> excluded) const;
@@ -154,6 +164,9 @@ class RssLocalizer {
   std::vector<rf::Vec2> centers_;
   SearchBounds bounds_;
   double grid_step_;
+  /// Runtime grid coarsening multiplier (brownout tier 2); 1 = exact
+  /// configured resolution.
+  std::size_t grid_stride_ = 1;
   RssOnlyOptions options_;
   double inv_2s2_ = 0.0;
 };

@@ -1,8 +1,10 @@
 // Frozen oracle for the likelihood localizer: the per-cell formula
 // exactly as it read before the per-search kernel table (bearing, then
-// pow and exp for every drop of every usable array), plus the search
-// and consensus selection built on it. Localizer results must be
-// byte-equal to these, serial or pooled, at every grid stride.
+// pow and exp for every drop of every usable array), the full scan of
+// every grid cell for local maxima that the branch-and-bound search
+// replaced, and the consensus selection, best-effort fallback and
+// multi-target pick built on them. Localizer results must be byte-equal
+// to these, serial or pooled, at every grid stride.
 #pragma once
 
 #include <algorithm>
@@ -254,24 +256,34 @@ struct Search {
     return out;
   }
 
-  /// localize(): consensus selection over the first kMaxCandidates
-  /// peaks, with min_arrays shrunk to the surviving arrays (K-of-N).
-  [[nodiscard]] LocationEstimate localize(
+  [[nodiscard]] static std::size_t usable(
+      std::span<const AngularEvidence> ev) {
+    std::size_t n = 0;
+    for (const auto& e : ev) n += e.usable() ? 1 : 0;
+    return n;
+  }
+
+  /// min_arrays shrunk to the surviving arrays (K-of-N).
+  [[nodiscard]] std::size_t min_arrays(
       std::span<const AngularEvidence> ev) const {
     std::size_t excluded = 0;
-    std::size_t usable = 0;
-    for (const auto& e : ev) {
-      excluded += e.excluded ? 1 : 0;
-      usable += e.usable() ? 1 : 0;
-    }
-    const std::size_t min_arrays =
-        excluded == 0 ? opts.min_arrays
-                      : std::min(opts.min_arrays,
-                                 std::max<std::size_t>(1, ev.size() -
-                                                              excluded));
-    if (usable < min_arrays) return {};
-    const std::vector<LocationEstimate> candidates =
-        opts.hill_climbing ? hill_climb_candidates(ev) : grid_candidates(ev);
+    for (const auto& e : ev) excluded += e.excluded ? 1 : 0;
+    return excluded == 0
+               ? opts.min_arrays
+               : std::min(opts.min_arrays,
+                          std::max<std::size_t>(1, ev.size() - excluded));
+  }
+
+  [[nodiscard]] std::vector<LocationEstimate> candidates(
+      std::span<const AngularEvidence> ev) const {
+    return opts.hill_climbing ? hill_climb_candidates(ev)
+                              : grid_candidates(ev);
+  }
+
+  /// Consensus selection over the first kMaxCandidates candidates.
+  [[nodiscard]] LocationEstimate select(
+      const std::vector<LocationEstimate>& candidates,
+      std::span<const AngularEvidence> ev, std::size_t min_arrays) const {
     LocationEstimate best{};
     for (std::size_t i = 0;
          i < std::min(candidates.size(), Localizer::kMaxCandidates); ++i) {
@@ -284,6 +296,63 @@ struct Search {
     }
     best.valid = best.consensus >= min_arrays;
     return best;
+  }
+
+  /// localize(): consensus selection over the first kMaxCandidates
+  /// peaks.
+  [[nodiscard]] LocationEstimate localize(
+      std::span<const AngularEvidence> ev) const {
+    const std::size_t need = min_arrays(ev);
+    if (usable(ev) < need) return {};
+    return select(candidates(ev), ev, need);
+  }
+
+  /// localize_best_effort(): the consensus fix, else the highest peak
+  /// with valid == false.
+  [[nodiscard]] LocationEstimate localize_best_effort(
+      std::span<const AngularEvidence> ev) const {
+    const std::size_t need = min_arrays(ev);
+    const std::size_t n = usable(ev);
+    if (n == 0 && need > 0) return {};
+    const std::vector<LocationEstimate> found = candidates(ev);
+    LocationEstimate est{};
+    if (n >= need) {
+      est = select(found, ev, need);
+      if (est.valid || est.likelihood > 0.0) return est;
+    }
+    if (!found.empty() && found.front().likelihood > 0.0) {
+      LocationEstimate top = found.front();
+      top.consensus = consensus_at(top.position, ev);
+      top.valid = false;
+      return top;
+    }
+    return est;
+  }
+
+  /// localize_multi(): grid peaks at or above relative_floor of the best,
+  /// min_separation apart, each with consensus.
+  [[nodiscard]] std::vector<LocationEstimate> localize_multi(
+      std::span<const AngularEvidence> ev, std::size_t max_targets,
+      double min_separation, double relative_floor) const {
+    std::vector<LocationEstimate> out;
+    const std::size_t need = min_arrays(ev);
+    if (max_targets == 0 || usable(ev) < need) return out;
+    const std::vector<LocationEstimate> found = grid_candidates(ev);
+    if (found.empty()) return out;
+    const double floor = found.front().likelihood * relative_floor;
+    for (LocationEstimate c : found) {
+      if (c.likelihood < floor) break;
+      const bool clash = std::any_of(out.begin(), out.end(), [&](const auto& e) {
+        return rf::distance(e.position, c.position) < min_separation;
+      });
+      if (clash) continue;
+      c.consensus = consensus_at(c.position, ev);
+      if (c.consensus < need) continue;
+      c.valid = true;
+      out.push_back(c);
+      if (out.size() >= max_targets) break;
+    }
+    return out;
   }
 };
 
@@ -348,6 +417,59 @@ inline bool same_estimate(const LocationEstimate& a,
          same_bytes(a.position.y, b.position.y) &&
          same_bytes(a.likelihood, b.likelihood) &&
          a.consensus == b.consensus && a.valid == b.valid;
+}
+
+inline ::testing::AssertionResult same_estimates(
+    const std::vector<LocationEstimate>& got,
+    const std::vector<LocationEstimate>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " estimates vs oracle " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!same_estimate(got[i], want[i])) {
+      return ::testing::AssertionFailure()
+             << "estimate " << i << ": " << got[i].position.x << ","
+             << got[i].position.y << " L=" << got[i].likelihood
+             << " vs oracle " << want[i].position.x << ","
+             << want[i].position.y << " L=" << want[i].likelihood;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The branch-and-bound search against the full scan of every cell, on
+/// one localizer configured like `s`:
+///   - the search's candidates are a prefix of the scan's list, position
+///     and likelihood byte for byte, that holds at least its first
+///     kMaxCandidates entries;
+///   - localize, localize_best_effort and localize_multi (default floor
+///     and floor 0) equal the oracle's, byte for byte.
+inline void expect_search_matches(const Search& s, const Localizer& loc,
+                                  std::span<const AngularEvidence> ev) {
+  const std::vector<LocationEstimate> got = loc.grid_candidates(ev);
+  const std::vector<LocationEstimate> want = s.grid_candidates(ev);
+  EXPECT_GE(got.size(), std::min(want.size(), Localizer::kMaxCandidates));
+  EXPECT_LE(got.size(), want.size());
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    const double a[3] = {got[i].position.x, got[i].position.y,
+                         got[i].likelihood};
+    const double b[3] = {want[i].position.x, want[i].position.y,
+                         want[i].likelihood};
+    if (std::memcmp(a, b, sizeof a) != 0) {
+      ADD_FAILURE() << "candidate " << i << ": " << a[0] << "," << a[1]
+                    << " L=" << a[2] << " vs full scan " << b[0] << ","
+                    << b[1] << " L=" << b[2];
+      break;
+    }
+  }
+  EXPECT_TRUE(same_estimate(loc.localize(ev), s.localize(ev)));
+  EXPECT_TRUE(same_estimate(loc.localize_best_effort(ev),
+                            s.localize_best_effort(ev)));
+  EXPECT_TRUE(same_estimates(loc.localize_multi(ev, 4, 0.25, 0.35),
+                             s.localize_multi(ev, 4, 0.25, 0.35)));
+  EXPECT_TRUE(same_estimates(loc.localize_multi(ev, 6, 0.5, 0.0),
+                             s.localize_multi(ev, 6, 0.5, 0.0)));
 }
 
 }  // namespace dwatch::core::oracle

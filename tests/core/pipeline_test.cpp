@@ -344,5 +344,29 @@ TEST(Pipeline, TwoElementArraysRunEndToEnd) {
   (void)pipe.localize_best_effort();  // must not throw
 }
 
+TEST(Pipeline, BrownoutStrideCoarsensTheRssGrid) {
+  // Brownout tier 2 widens the grid in RSS mode exactly as on the phase
+  // path: stride 2 doubles the step and leaves about a quarter of the
+  // cells, and stride 1 restores the configured step verbatim.
+  PipelineOptions options;
+  options.rss_only.force = true;
+  DWatchPipeline pipe(two_arrays(), bounds(), options);
+  ASSERT_TRUE(pipe.rss_active());
+  const LikelihoodGrid fine = pipe.likelihood_grid();
+  ASSERT_EQ(fine.step, options.localizer.grid_step);
+
+  pipe.set_brownout(BrownoutProfile{.grid_stride = 2});
+  const LikelihoodGrid coarse = pipe.likelihood_grid();
+  EXPECT_EQ(coarse.step, 2.0 * fine.step);
+  EXPECT_EQ(coarse.nx, (fine.nx - 1) / 2 + 1);
+  EXPECT_EQ(coarse.ny, (fine.ny - 1) / 2 + 1);
+  EXPECT_EQ(coarse.values.size(), coarse.nx * coarse.ny);
+
+  pipe.set_brownout(BrownoutProfile{});
+  const LikelihoodGrid restored = pipe.likelihood_grid();
+  EXPECT_EQ(restored.step, fine.step);
+  EXPECT_EQ(restored.values.size(), fine.values.size());
+}
+
 }  // namespace
 }  // namespace dwatch::core
