@@ -66,6 +66,39 @@ void BM_OnlinePowerSpectrum(benchmark::State& state) {
 }
 BENCHMARK(BM_OnlinePowerSpectrum);
 
+/// The per-observation cost of the pipeline: one wire TagObservation of
+/// a library tag, with a person at (3, 4), through
+/// DWatchPipeline::observe (snapshot fill, calibration, correlation,
+/// PB at the baseline's windows, drop detection, RSS bookkeeping).
+/// BM_OnlinePowerSpectrum is the full 361-bin PB it no longer computes.
+void BM_Observe(benchmark::State& state) {
+  const sim::Scene& scene = shared_scene();
+  harness::RunnerOptions opts;
+  opts.calibrate = false;
+  opts.through_wire = true;
+  harness::ExperimentRunner runner(scene, opts);
+  core::DWatchPipeline& pipeline = runner.pipeline();
+  rf::Rng rng(9);
+  for (std::size_t a = 0; a < scene.num_arrays(); ++a) {
+    pipeline.set_calibration(a, scene.reader(a).phase_offsets());
+  }
+  runner.collect_baselines(rng);
+  std::size_t t = 0;
+  while (!scene.tag_readable(0, t)) ++t;
+  const std::vector<sim::CylinderTarget> targets{
+      sim::CylinderTarget::human({3.0, 4.0})};
+  const rfid::TagObservation obs =
+      scene.capture_observation(0, t, targets, rng);
+  pipeline.begin_epoch();
+  std::size_t n = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline.observe(0, obs));
+    // Keep the epoch's evidence list short; amortized over 1024 calls.
+    if (++n % 1024 == 0) pipeline.begin_epoch();
+  }
+}
+BENCHMARK(BM_Observe);
+
 /// One full fix: observe every readable (array, tag) pair + localize.
 /// The paper's comparable number is ~57 ms processing per fix.
 void BM_FullFix(benchmark::State& state) {

@@ -165,8 +165,26 @@ void apply_phase_correction(linalg::CMatrix& x,
   if (offsets.size() != x.rows()) {
     throw std::invalid_argument("apply_phase_correction: size mismatch");
   }
+  apply_phase_correction(x, correction_phasors(offsets));
+}
+
+std::vector<linalg::Complex> correction_phasors(
+    std::span<const double> offsets) {
+  std::vector<linalg::Complex> phasors;
+  phasors.reserve(offsets.size());
+  for (const double offset : offsets) {
+    phasors.push_back(std::polar(1.0, -offset));
+  }
+  return phasors;
+}
+
+void apply_phase_correction(linalg::CMatrix& x,
+                            std::span<const linalg::Complex> phasors) {
+  if (phasors.size() != x.rows()) {
+    throw std::invalid_argument("apply_phase_correction: size mismatch");
+  }
   for (std::size_t m = 0; m < x.rows(); ++m) {
-    const linalg::Complex w = std::polar(1.0, -offsets[m]);
+    const linalg::Complex w = phasors[m];
     for (std::size_t n = 0; n < x.cols(); ++n) {
       x(m, n) *= w;
     }

@@ -119,6 +119,16 @@ class WirelessCalibrator {
 void apply_phase_correction(linalg::CMatrix& x,
                             std::span<const double> offsets);
 
+/// The row multipliers apply_phase_correction uses: e^{-j offsets[m]}.
+[[nodiscard]] std::vector<linalg::Complex> correction_phasors(
+    std::span<const double> offsets);
+
+/// apply_phase_correction with the phasors precomputed: row m of `x` is
+/// multiplied by phasors[m]. Throws std::invalid_argument on size
+/// mismatch.
+void apply_phase_correction(linalg::CMatrix& x,
+                            std::span<const linalg::Complex> phasors);
+
 /// Mean absolute wrapped phase error between two offset vectors,
 /// ignoring the reference element 0. Sizes must match.
 [[nodiscard]] double mean_phase_error(std::span<const double> estimated,

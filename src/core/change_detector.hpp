@@ -7,7 +7,10 @@
 // power drop at that angle.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/spectrum.hpp"
@@ -47,6 +50,23 @@ struct ChangeDetectorOptions {
   double angle_window = rf::deg2rad(2.0);
 };
 
+/// A baseline spectrum prepared for detection: its peaks and the grid
+/// bins each peak's online window reads. Derived from the baseline
+/// alone, so a caller that keeps many baselines can build it once per
+/// baseline and evaluate the online spectrum at `bins` only.
+struct DetectionWindows {
+  struct Window {
+    Peak peak;            ///< a baseline peak with value > 0
+    std::size_t lo = 0;   ///< first bin of its clamped window
+    std::size_t hi = 0;   ///< last bin (inclusive)
+  };
+  /// In find_peaks order (strongest first).
+  std::vector<Window> windows;
+  /// Every window's bins lo..hi, window after window; overlapping
+  /// windows repeat their shared bins.
+  std::vector<std::size_t> bins;
+};
+
 /// Compare baseline vs online spectra of ONE (array, tag) pair.
 class SpectrumChangeDetector {
  public:
@@ -56,8 +76,19 @@ class SpectrumChangeDetector {
     return options_;
   }
 
-  /// All baseline peaks whose power dropped by at least
-  /// min_drop_fraction. Spectra must have equal size (throws
+  /// Step 1 of detection: the baseline's peaks (options().peaks) and
+  /// their windows on the baseline's grid.
+  [[nodiscard]] DetectionWindows prepare(
+      const AngularSpectrum& baseline) const;
+
+  /// Step 2: every prepared peak whose power dropped by at least
+  /// min_drop_fraction. `online[k]` is the online power at
+  /// `prepared.bins[k]` (throws std::invalid_argument on a size
+  /// mismatch).
+  [[nodiscard]] std::vector<PathDrop> detect(
+      const DetectionWindows& prepared, std::span<const double> online) const;
+
+  /// Both steps on full spectra. Spectra must have equal size (throws
   /// std::invalid_argument otherwise).
   [[nodiscard]] std::vector<PathDrop> detect(
       const AngularSpectrum& baseline, const AngularSpectrum& online) const;
@@ -70,6 +101,10 @@ class SpectrumChangeDetector {
                                       double theta) const;
 
  private:
+  /// The clamped bin range [lo, hi] that the window around theta reads.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> window_bins(
+      const AngularSpectrum& spectrum, double theta) const;
+
   ChangeDetectorOptions options_;
 };
 

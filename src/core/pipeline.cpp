@@ -103,38 +103,51 @@ linalg::CMatrix observation_to_snapshots(const rfid::TagObservation& obs,
   if (num_elements == 0) {
     throw std::invalid_argument("observation_to_snapshots: M == 0");
   }
-  // Group samples by round.
-  std::map<std::uint32_t, std::vector<std::optional<linalg::Complex>>> rounds;
-  for (const rfid::PhaseSample& s : obs.samples) {
+  const std::vector<rfid::PhaseSample>& samples = obs.samples;
+  // The distinct rounds, ascending: the column order of the complete
+  // ones. Readers emit a round's samples together, so skipping repeats
+  // of the previous round leaves little to sort.
+  std::vector<std::uint32_t> rounds;
+  for (const rfid::PhaseSample& s : samples) {
     if (s.element_id == 0 || s.element_id > num_elements) {
       throw std::invalid_argument(
           "observation_to_snapshots: element id out of range");
     }
-    auto& row = rounds[s.round];
-    if (row.empty()) row.resize(num_elements);
-    row[s.element_id - 1] = s.as_complex();
+    if (rounds.empty() || rounds.back() != s.round) rounds.push_back(s.round);
   }
-  // Keep complete rounds only.
-  std::vector<const std::vector<std::optional<linalg::Complex>>*> complete;
-  for (const auto& [round, row] : rounds) {
-    bool full = true;
-    for (const auto& v : row) {
-      if (!v) {
-        full = false;
-        break;
-      }
+  std::sort(rounds.begin(), rounds.end());
+  rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
+  // slot[r * M + m] = the last sample of (round r, element m); a round
+  // is complete when all M of its slots are filled.
+  constexpr std::size_t kNoSample = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slot(rounds.size() * num_elements, kNoSample);
+  std::vector<std::size_t> filled(rounds.size(), 0);
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (rounds[r] != samples[i].round) {
+      r = static_cast<std::size_t>(
+          std::lower_bound(rounds.begin(), rounds.end(), samples[i].round) -
+          rounds.begin());
     }
-    if (full) complete.push_back(&row);
+    std::size_t& at = slot[r * num_elements + samples[i].element_id - 1];
+    if (at == kNoSample) ++filled[r];
+    at = i;
   }
-  if (complete.empty()) {
+  const auto complete = static_cast<std::size_t>(
+      std::count(filled.begin(), filled.end(), num_elements));
+  if (complete == 0) {
     throw std::invalid_argument(
         "observation_to_snapshots: no complete round");
   }
-  linalg::CMatrix x(num_elements, complete.size());
-  for (std::size_t n = 0; n < complete.size(); ++n) {
+  // Dequantize only the samples that land in the matrix.
+  linalg::CMatrix x(num_elements, complete);
+  std::size_t n = 0;
+  for (r = 0; r < rounds.size(); ++r) {
+    if (filled[r] != num_elements) continue;
     for (std::size_t m = 0; m < num_elements; ++m) {
-      x(m, n) = *(*complete[n])[m];
+      x(m, n) = samples[slot[r * num_elements + m]].as_complex();
     }
+    ++n;
   }
   return x;
 }
@@ -148,6 +161,7 @@ DWatchPipeline::DWatchPipeline(std::vector<rf::UniformLinearArray> arrays,
                      options.localizer.grid_step, options.rss_only),
       detector_(options.change),
       calibration_(arrays_.size()),
+      phasors_(arrays_.size()),
       baselines_(arrays_.size()),
       rss_baselines_(arrays_.size()),
       evidence_(arrays_.size()) {
@@ -209,6 +223,7 @@ void DWatchPipeline::set_calibration(std::size_t array_idx,
   if (offsets.size() != arrays_[array_idx].num_elements()) {
     throw std::invalid_argument("set_calibration: offset count mismatch");
   }
+  phasors_[array_idx] = correction_phasors(offsets);
   calibration_[array_idx] = std::move(offsets);
 }
 
@@ -273,7 +288,13 @@ std::vector<std::uint8_t> DWatchPipeline::excluded_flags() const {
 PipelineState DWatchPipeline::export_state() const {
   PipelineState state;
   state.calibration = calibration_;
-  state.baselines = baselines_;
+  state.baselines.resize(baselines_.size());
+  for (std::size_t a = 0; a < baselines_.size(); ++a) {
+    for (const auto& [epc, baseline] : baselines_[a]) {
+      state.baselines[a].emplace_hint(state.baselines[a].end(), epc,
+                                      baseline.spectrum);
+    }
+  }
   state.excluded.reserve(evidence_.size());
   for (const AngularEvidence& e : evidence_) {
     state.excluded.push_back(e.excluded ? 1 : 0);
@@ -299,7 +320,16 @@ void DWatchPipeline::restore(const PipelineState& state) {
     }
   }
   calibration_ = state.calibration;
-  baselines_ = state.baselines;
+  for (std::size_t a = 0; a < arrays_.size(); ++a) {
+    phasors_[a] = calibration_[a] ? correction_phasors(*calibration_[a])
+                                  : std::vector<linalg::Complex>{};
+    baselines_[a].clear();
+    for (const auto& [epc, spectrum] : state.baselines[a]) {
+      baselines_[a].emplace_hint(
+          baselines_[a].end(), epc,
+          Baseline{spectrum, detector_.prepare(spectrum)});
+    }
+  }
   // The RSS fallback's references are not checkpointed (frozen DWCP v1
   // layout): drop any in-memory remnants so a restored pipeline never
   // pairs old link powers with the reinstalled spectral baselines. The
@@ -329,9 +359,7 @@ linalg::CMatrix DWatchPipeline::calibrated(
     throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
   }
   linalg::CMatrix x = snapshots;
-  if (calibration_[array_idx]) {
-    apply_phase_correction(x, *calibration_[array_idx]);
-  }
+  if (calibration_[array_idx]) apply_phase_correction(x, phasors_[array_idx]);
   return x;
 }
 
@@ -339,9 +367,14 @@ void DWatchPipeline::add_baseline(std::size_t array_idx,
                                   const rfid::Epc96& epc,
                                   const linalg::CMatrix& snapshots) {
   check_array(array_idx);
-  auto [it, inserted] = baselines_[array_idx].insert_or_assign(
-      epc,
-      pmusic_[array_idx].estimate(calibrated(array_idx, snapshots)).omega);
+  AngularSpectrum spectrum =
+      pmusic_[array_idx].estimate(calibrated(array_idx, snapshots)).omega;
+  DetectionWindows windows = detector_.prepare(spectrum);
+  const bool inserted =
+      baselines_[array_idx]
+          .insert_or_assign(epc, Baseline{std::move(spectrum),
+                                          std::move(windows)})
+          .second;
   if (inserted) ++stats_.baselines;
   // Calibration is phase-only, so the uncorrected magnitudes double as
   // the RSS fallback's per-link reference power.
@@ -422,17 +455,18 @@ void DWatchPipeline::note_reports_dropped(std::size_t count) {
 }
 
 DWatchPipeline::Detection DWatchPipeline::detect(
-    std::size_t array_idx, const rfid::Epc96& epc,
-    const AngularSpectrum& baseline, const linalg::CMatrix& r,
-    std::size_t num_snapshots) const {
+    std::size_t array_idx, const rfid::Epc96& epc, const Baseline& baseline,
+    const linalg::CMatrix& r, std::size_t num_snapshots) const {
   // PB, not Omega: at a baseline peak both share the same scale
   // (Omega = PB * Nor(B) with Nor(B) == 1 there), but Omega would
   // manufacture phantom drops wherever the online MUSIC peaks shifted
   // away from a baseline peak (Nor(B) < 1 there), and with thin
-  // evidence those phantoms outvote the real drops.
+  // evidence those phantoms outvote the real drops. Only the bins the
+  // windows read are evaluated; each is bit-identical to the full PB.
   Detection out;
-  out.drops =
-      detector_.detect(baseline, pmusic_[array_idx].power_spectrum(r));
+  out.drops = detector_.detect(
+      baseline.windows,
+      pmusic_[array_idx].power_at(r, baseline.windows.bins));
   // Degraded mode: a spectrum computed from too few snapshots carries a
   // less trustworthy peak angle — widen its localization kernel.
   out.widened = num_snapshots < options_.degraded.min_snapshots;
@@ -755,7 +789,7 @@ const AngularSpectrum* DWatchPipeline::baseline_spectrum(
     std::size_t array_idx, const rfid::Epc96& epc) const {
   check_array(array_idx);
   const auto it = baselines_[array_idx].find(epc);
-  return it == baselines_[array_idx].end() ? nullptr : &it->second;
+  return it == baselines_[array_idx].end() ? nullptr : &it->second.spectrum;
 }
 
 }  // namespace dwatch::core

@@ -439,16 +439,24 @@ class DWatchPipeline {
   /// online observations.
   [[nodiscard]] linalg::CMatrix calibrated(
       std::size_t array_idx, const linalg::CMatrix& snapshots) const;
+  /// A stored reference spectrum with its detection windows, derived
+  /// from it when it is stored (never checkpointed: export_state()
+  /// carries only the spectrum and restore() derives the windows again).
+  struct Baseline {
+    AngularSpectrum spectrum;
+    DetectionWindows windows;
+  };
+
   /// Drop detection for one observation with a known baseline, on the
   /// online correlation `r` over `num_snapshots` calibrated columns
   /// (this report's in batch mode, the epoch's accumulated ones in
   /// streaming mode). Baseline peak positions come from the P-MUSIC
   /// spectrum; the ONLINE power at those positions is read from the
-  /// beamforming power spectrum PB, which is free of MUSIC's
-  /// model-order jitter.
+  /// beamforming power PB, which is free of MUSIC's model-order
+  /// jitter, evaluated only at the bins of the baseline's windows.
   [[nodiscard]] Detection detect(std::size_t array_idx,
                                  const rfid::Epc96& epc,
-                                 const AngularSpectrum& baseline,
+                                 const Baseline& baseline,
                                  const linalg::CMatrix& r,
                                  std::size_t num_snapshots) const;
   void check_array(std::size_t array_idx) const;
@@ -485,7 +493,10 @@ class DWatchPipeline {
   /// shared by all workers).
   std::vector<PMusicEstimator> pmusic_;
   std::vector<std::optional<std::vector<double>>> calibration_;
-  std::vector<std::map<rfid::Epc96, AngularSpectrum>> baselines_;
+  /// correction_phasors() of each array's calibration (empty when
+  /// uncalibrated), derived in set_calibration() and restore().
+  std::vector<std::vector<linalg::Complex>> phasors_;
+  std::vector<std::map<rfid::Epc96, Baseline>> baselines_;
   /// RSS fallback reference state (NOT checkpointed; see export_state).
   std::vector<std::map<rfid::Epc96, double>> rss_baselines_;
   std::map<rfid::Epc96, rf::Vec2> tag_positions_;

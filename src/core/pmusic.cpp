@@ -23,28 +23,70 @@ PMusicEstimator::PMusicEstimator(double spacing, double lambda,
   }
 }
 
-AngularSpectrum PMusicEstimator::power_spectrum(
-    const linalg::CMatrix& r) const {
-  DWATCH_SPAN("pmusic.power");
+namespace {
+
+/// a^H R a / M^2 == E[ |sum_m x_m e^{+j omega}|^2 ] / M^2: the
+/// alignment weight e^{+j omega(m,theta)} is conj(a_m), so the sum is
+/// a^H x and its mean square is a^H R a. Turns the quadratic forms of
+/// the kernel into PB values in place.
+void quadratic_forms_to_power(std::vector<double>& quad, std::size_t m) {
+  for (double& q : quad) q = std::max(q, 0.0) / static_cast<double>(m * m);
+}
+
+void check_correlation(const linalg::CMatrix& r) {
   if (r.rows() != r.cols() || r.rows() < 2) {
     throw std::invalid_argument("power_spectrum: bad correlation matrix");
   }
+}
+
+}  // namespace
+
+AngularSpectrum PMusicEstimator::power_spectrum(
+    const linalg::CMatrix& r) const {
+  DWATCH_SPAN("pmusic.power");
+  check_correlation(r);
+  const std::shared_ptr<const SteeringManifold> manifold =
+      SteeringCache::instance().get(r.rows(), spacing_, lambda_,
+                                    options_.music.grid_points);
+  // Batched over all grid columns of the cached manifold.
+  std::vector<double> quad =
+      linalg::simd::batched_quadratic_form(r, manifold->soa());
+  quadratic_forms_to_power(quad, r.rows());
+  return AngularSpectrum(std::move(quad));
+}
+
+std::vector<double> PMusicEstimator::power_at(
+    const linalg::CMatrix& r, std::span<const std::size_t> bins) const {
+  DWATCH_SPAN("pmusic.power");
+  check_correlation(r);
   const std::size_t m = r.rows();
+  if (bins.empty()) return {};
   const std::shared_ptr<const SteeringManifold> manifold =
       SteeringCache::instance().get(m, spacing_, lambda_,
                                     options_.music.grid_points);
-  // a^H R a / M^2 == E[ |sum_m x_m e^{+j omega}|^2 ] / M^2: the
-  // alignment weight e^{+j omega(m,theta)} is conj(a_m), so the sum is
-  // a^H x and its mean square is a^H R a. Batched over all grid columns
-  // of the cached manifold (delay-and-sum is the hottest kernel in the
-  // fix path).
-  const std::vector<double> quad =
-      linalg::simd::batched_quadratic_form(r, manifold->soa());
-  AngularSpectrum pb(options_.music.grid_points);
-  for (std::size_t i = 0; i < pb.size(); ++i) {
-    pb[i] = std::max(quad[i], 0.0) / static_cast<double>(m * m);
+  const linalg::SplitComplexMatrix& full = manifold->soa();
+  for (const std::size_t bin : bins) {
+    if (bin >= full.cols()) {
+      throw std::out_of_range("power_at: bin past the grid");
+    }
   }
-  return pb;
+  // Gather the listed columns; the kernel evaluates every column from
+  // its own lanes only, so a gathered column gives the same bits as it
+  // does in place.
+  linalg::SplitComplexMatrix columns(m, bins.size());
+  for (std::size_t row = 0; row < m; ++row) {
+    const double* re = full.re_row(row);
+    const double* im = full.im_row(row);
+    double* out_re = columns.re_row(row);
+    double* out_im = columns.im_row(row);
+    for (std::size_t k = 0; k < bins.size(); ++k) {
+      out_re[k] = re[bins[k]];
+      out_im[k] = im[bins[k]];
+    }
+  }
+  std::vector<double> quad = linalg::simd::batched_quadratic_form(r, columns);
+  quadratic_forms_to_power(quad, m);
+  return quad;
 }
 
 PMusicResult PMusicEstimator::estimate(

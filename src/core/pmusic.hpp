@@ -16,6 +16,10 @@
 // the quantity whose drop reveals a blocking target.
 #pragma once
 
+#include <cstddef>
+#include <span>
+#include <vector>
+
 #include "core/music.hpp"
 #include "core/spectrum.hpp"
 #include "linalg/complex_matrix.hpp"
@@ -67,6 +71,13 @@ class PMusicEstimator {
   /// the FULL (unsmoothed) correlation since power lives on the whole
   /// aperture: PB(theta) = a^H R a / M^2.
   [[nodiscard]] AngularSpectrum power_spectrum(const linalg::CMatrix& r) const;
+
+  /// PB at the listed grid bins only: element k is bit-identical to
+  /// power_spectrum(r)[bins[k]] on every SIMD backend (each manifold
+  /// column is evaluated on its own). Throws std::out_of_range on a bin
+  /// past the grid.
+  [[nodiscard]] std::vector<double> power_at(
+      const linalg::CMatrix& r, std::span<const std::size_t> bins) const;
 
  private:
   double spacing_;

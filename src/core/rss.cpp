@@ -4,6 +4,7 @@
 #include <cmath>
 #include <complex>
 #include <stdexcept>
+#include <vector>
 
 namespace dwatch::core {
 
@@ -11,6 +12,11 @@ double phase_coherence(const linalg::CMatrix& snapshots) {
   const std::size_t m_rows = snapshots.rows();
   const std::size_t n_cols = snapshots.cols();
   if (m_rows <= 1 || n_cols == 0) return 1.0;
+  // |reference| of each column, shared by every row.
+  std::vector<double> ref_abs(n_cols);
+  for (std::size_t n = 0; n < n_cols; ++n) {
+    ref_abs[n] = std::abs(snapshots(0, n));
+  }
   double total = 0.0;
   for (std::size_t m = 1; m < m_rows; ++m) {
     std::complex<double> acc{0.0, 0.0};
@@ -18,7 +24,7 @@ double phase_coherence(const linalg::CMatrix& snapshots) {
     for (std::size_t n = 0; n < n_cols; ++n) {
       const std::complex<double> x = snapshots(m, n);
       const std::complex<double> r = snapshots(0, n);
-      const double mag = std::abs(x) * std::abs(r);
+      const double mag = std::abs(x) * ref_abs[n];
       if (mag < 1e-12) continue;  // a dead sample carries no phase
       acc += x * std::conj(r) / mag;
       ++terms;
@@ -249,7 +255,10 @@ std::vector<LocationEstimate> RssLocalizer::localize_multi(
     if (!clear) continue;
     LocationEstimate e = c;
     e.consensus = consensus_at(e.position, links, excluded, norm);
-    e.valid = e.consensus >= min_arrays;
+    // As in the phase path: a candidate short of consensus is skipped
+    // and does not take a target slot.
+    if (e.consensus < min_arrays) continue;
+    e.valid = true;
     out.push_back(e);
   }
   return out;

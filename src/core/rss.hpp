@@ -123,7 +123,9 @@ class RssLocalizer {
       std::span<const std::uint8_t> excluded) const;
 
   /// Up to `max_targets` grid maxima, min_separation apart and above
-  /// relative_floor of the best peak.
+  /// relative_floor of the best peak. As in Localizer::localize_multi,
+  /// a maximum short of min_arrays consensus is skipped, so every
+  /// returned estimate is valid.
   [[nodiscard]] std::vector<LocationEstimate> localize_multi(
       std::span<const RssLink> links, std::span<const std::uint8_t> excluded,
       std::size_t max_targets, double min_separation = 0.25,

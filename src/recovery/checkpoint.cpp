@@ -335,8 +335,7 @@ std::string_view to_string(RestoreError error) noexcept {
 }
 
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+  std::vector<std::uint8_t> out(std::begin(kMagic), std::end(kMagic));
   put_u16(out, kCheckpointVersion);
   put_u16(out, 0);  // flags, reserved
 

@@ -174,7 +174,7 @@ struct Parser {
 }  // namespace
 
 bool json_valid(std::string_view text, std::string* error) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   if (!p.value(0)) {
     if (error != nullptr) *error = p.reason;
     return false;

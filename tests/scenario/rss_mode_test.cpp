@@ -99,6 +99,31 @@ TEST(RssLocalizerTest, ExcludedArrayDoesNotRescaleHealthyWeights) {
   EXPECT_EQ(with_dead.likelihood, healthy.likelihood);
 }
 
+TEST(RssLocalizerTest, MultiSkipsMaximaShortOfConsensus) {
+  // Array 0 has a strong link along y = 5 that no other array sees, and
+  // a weak link that crosses array 1's weak link near (7.27, 1.36). The
+  // strong ridge outranks the crossing but only array 0 supports it; as
+  // in the phase path, those maxima are skipped without taking a slot,
+  // and the crossing (both arrays) is the one target reported.
+  const std::vector<rf::Vec2> centers{{0.0, 5.0}, {5.0, 0.0}};
+  const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
+  core::RssOnlyOptions options;
+  options.consensus_floor = 0.15;
+  const core::RssLocalizer localizer(centers, bounds, 0.25, options);
+  const std::vector<core::RssLink> links{
+      {0, {10.0, 5.0}, 1.0},
+      {0, {10.0, 0.0}, 0.2},
+      {1, {10.0, 3.0}, 0.2},
+  };
+  const std::vector<std::uint8_t> excluded(centers.size(), 0);
+  const auto targets = localizer.localize_multi(links, excluded, 2, 0.25, 0.35);
+  ASSERT_EQ(targets.size(), 1u);
+  EXPECT_TRUE(targets[0].valid);
+  EXPECT_EQ(targets[0].consensus, 2u);
+  EXPECT_NEAR(targets[0].position.x, 7.27, 0.3);
+  EXPECT_NEAR(targets[0].position.y, 1.36, 0.3);
+}
+
 TEST(RssLocalizerTest, ThrowsOnEmptyCentersOrDegenerateBounds) {
   const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
   EXPECT_THROW(core::RssLocalizer({}, bounds, 0.25), std::invalid_argument);
