@@ -9,6 +9,7 @@
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -81,8 +82,12 @@ constexpr std::size_t kBlockCells = 8;
 /// that far outside its block's corner interval; the pad keeps it in.
 constexpr double kBearingPad = 1e-6;
 /// Relative slack on a block bound, for the rounding of exp and of the
-/// product over arrays.
+/// product over arrays; also the margin of the per-block kernel lists and
+/// of the near-array test.
 constexpr double kBoundSlack = 1e-9;
+/// Radius [m] around an array's center within which no cell is a
+/// candidate (too_close_to_array).
+constexpr double kNearArrayM = 0.25;
 
 /// One detected drop reduced to what the evidence kernel reads.
 struct Kernel {
@@ -91,12 +96,11 @@ struct Kernel {
   double inv = 0.0;     ///< 1 / (2 (kernel_sigma * sigma_scale)^2)
 };
 
-/// One array's kernels, heaviest first (the order the exact early exit
-/// in max_kernel needs).
-std::vector<Kernel> kernels(const AngularEvidence& evidence, double norm,
-                            double power_exponent, double inv_2s2) {
-  std::vector<Kernel> out;
-  out.reserve(evidence.drops.size());
+/// Appends one array's kernels to `out`, heaviest first (the order the
+/// exact early exit in max_kernel needs).
+void append_kernels(std::vector<Kernel>& out, const AngularEvidence& evidence,
+                    double norm, double power_exponent, double inv_2s2) {
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
   for (const PathDrop& d : evidence.drops) {
     const double power_drop =
         std::max(d.baseline_power - d.online_power, 0.0);
@@ -111,12 +115,27 @@ std::vector<Kernel> kernels(const AngularEvidence& evidence, double norm,
   }
   // A NaN weight (never a maximum) sorts last so the order stays a
   // strict weak ordering.
-  std::stable_sort(out.begin(), out.end(),
+  std::stable_sort(out.begin() + first, out.end(),
                    [](const Kernel& x, const Kernel& y) {
                      return x.weight > y.weight ||
                             (!std::isnan(x.weight) && std::isnan(y.weight));
                    });
-  return out;
+}
+
+/// Kernel k's value at angular distance d from its bearing. Every caller
+/// evaluates this one expression, so a larger d never yields more.
+double kernel_at(const Kernel& k, double d) {
+  return k.weight * std::exp(-d * d * k.inv);
+}
+
+/// Distance from k's bearing to the nearest point of [lo, hi].
+double nearest(const Kernel& k, double lo, double hi) {
+  return k.theta < lo ? lo - k.theta : (k.theta > hi ? k.theta - hi : 0.0);
+}
+
+/// Distance from k's bearing to the farthest point of [lo, hi].
+double farthest(const Kernel& k, double lo, double hi) {
+  return std::max(k.theta - lo, hi - k.theta);
 }
 
 /// dOmega_i(theta): MAX-combine of one array's kernels.
@@ -131,39 +150,73 @@ double max_kernel(std::span<const Kernel> kernels, double theta) {
     // Exact early exit: the Gaussian factor is at most 1 and the
     // weights only fall from here, so no later drop can raise the max.
     if (k.weight <= best) break;
-    const double delta = theta - k.theta;
-    best = std::max(best, k.weight * std::exp(-delta * delta * k.inv));
+    best = std::max(best, kernel_at(k, theta - k.theta));
   }
   return best;
 }
 
+/// prod_i (epsilon + dOmega_i(theta_i(point))) over the arrays whose
+/// kernel list is not empty: L(O) without the near-array test.
+double kernel_product(std::span<const rf::UniformLinearArray> arrays,
+                      std::span<const std::span<const Kernel>> lists,
+                      double epsilon, rf::Vec2 point) {
+  double l = 1.0;
+  for (std::size_t i = 0; i < arrays.size(); ++i) {
+    if (lists[i].empty()) continue;
+    const double theta = arrays[i].arrival_angle_planar(point);
+    l *= epsilon + max_kernel(lists[i], theta);
+  }
+  return l;
+}
+
 }  // namespace
 
-/// Indexed like the arrays; the entry of an array that is not usable
-/// (silent or excluded) is empty.
+/// Every usable array's kernels in one buffer, array by array, and one
+/// view per array into it, indexed like the arrays; the view of an array
+/// that is not usable (silent or excluded) is empty. The views point
+/// into `kernels`, so the table moves but never copies.
 struct Localizer::KernelTable {
-  std::vector<std::vector<Kernel>> arrays;
+  std::vector<Kernel> kernels;
+  std::vector<std::span<const Kernel>> arrays;
+
+  KernelTable() = default;
+  KernelTable(KernelTable&&) = default;
+  KernelTable(const KernelTable&) = delete;
 };
 
 Localizer::KernelTable Localizer::kernel_table(
     std::span<const AngularEvidence> evidence) const {
+  // Every search indexes the table like the arrays.
+  if (evidence.size() != arrays_.size()) {
+    throw std::invalid_argument("Localizer: evidence count mismatch");
+  }
   const double norm = global_drop_norm(evidence);
-  KernelTable table{std::vector<std::vector<Kernel>>(evidence.size())};
+  KernelTable table;
+  std::size_t total = 0;
+  for (const AngularEvidence& e : evidence) {
+    if (e.usable()) total += e.drops.size();
+  }
+  // Reserved up front, so no append moves the views taken before it.
+  table.kernels.reserve(total);
+  table.arrays.resize(evidence.size());
   for (std::size_t i = 0; i < evidence.size(); ++i) {
     // Silent reader: no information. Excluded reader: flagged unusable
     // (degraded mode) — also contributes nothing.
-    if (evidence[i].usable()) {
-      table.arrays[i] =
-          kernels(evidence[i], norm, options_.power_exponent, inv_2s2_);
-    }
+    if (!evidence[i].usable()) continue;
+    const std::size_t first = table.kernels.size();
+    append_kernels(table.kernels, evidence[i], norm, options_.power_exponent,
+                   inv_2s2_);
+    table.arrays[i] = std::span<const Kernel>(table.kernels).subspan(first);
   }
   return table;
 }
 
 double Localizer::evidence_at(const AngularEvidence& evidence, double theta,
                               double norm) const {
-  return max_kernel(kernels(evidence, norm, options_.power_exponent, inv_2s2_),
-                    theta);
+  std::vector<Kernel> kernels;
+  kernels.reserve(evidence.drops.size());
+  append_kernels(kernels, evidence, norm, options_.power_exponent, inv_2s2_);
+  return max_kernel(kernels, theta);
 }
 
 std::size_t Localizer::arrays_with_evidence(
@@ -196,7 +249,7 @@ bool Localizer::too_close_to_array(rf::Vec2 point) const {
   // (its bearing is undefined, every evidence kernel matches something)
   // and physically impossible for a target.
   for (const auto& a : arrays_) {
-    if (rf::distance(point, a.center().xy()) < 0.25) return true;
+    if (rf::distance(point, a.center().xy()) < kNearArrayM) return true;
   }
   return false;
 }
@@ -212,13 +265,7 @@ double Localizer::likelihood_at(
 double Localizer::likelihood_at(rf::Vec2 point,
                                 const KernelTable& table) const {
   if (too_close_to_array(point)) return 0.0;
-  double l = 1.0;
-  for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (table.arrays[i].empty()) continue;
-    const double theta = arrays_[i].arrival_angle_planar(point);
-    l *= options_.epsilon + max_kernel(table.arrays[i], theta);
-  }
-  return l;
+  return kernel_product(arrays_, table.arrays, options_.epsilon, point);
 }
 
 std::size_t Localizer::consensus_at(rf::Vec2 point,
@@ -262,65 +309,6 @@ std::vector<LocationEstimate> Localizer::grid_candidates(
   return grid_search(kernel_table(evidence));
 }
 
-double Localizer::block_bound(const KernelTable& table, rf::Vec2 low,
-                              rf::Vec2 high) const {
-  const rf::Vec2 corners[4] = {
-      low, {high.x, low.y}, {low.x, high.y}, high};
-  double bound = 1.0;
-  for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (table.arrays[i].empty()) continue;
-    const rf::UniformLinearArray& array = arrays_[i];
-    const rf::Vec2 axis = array.axis();
-    // Off the array's axis line, a convex block sees the array within
-    // the bearing interval its corners span.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    double lo = kInf;
-    double hi = -kInf;
-    double side_min = kInf;
-    double side_max = -kInf;
-    double along_min = kInf;
-    double along_max = -kInf;
-    bool undefined = false;
-    for (const rf::Vec2 corner : corners) {
-      const rf::Vec2 r = corner - array.center().xy();
-      // No bearing from the array's own center (and no cell there is a
-      // candidate: too_close_to_array).
-      if (r.x == 0.0 && r.y == 0.0) {
-        undefined = true;
-        break;
-      }
-      const double theta = array.arrival_angle_planar(corner);
-      lo = std::min(lo, theta);
-      hi = std::max(hi, theta);
-      side_min = std::min(side_min, axis.cross(r));
-      side_max = std::max(side_max, axis.cross(r));
-      along_min = std::min(along_min, axis.dot(r));
-      along_max = std::max(along_max, axis.dot(r));
-    }
-    // Where the block touches the axis line, it reaches bearing 0 (the
-    // -axis ray) or pi (the +axis ray); a block around the array, or
-    // with a corner on it, reaches both.
-    if (undefined) {
-      lo = 0.0;
-      hi = rf::kPi;
-    } else if (side_min <= 0.0 && side_max >= 0.0) {
-      if (along_min <= 0.0) lo = 0.0;
-      if (along_max >= 0.0) hi = rf::kPi;
-    }
-    lo = std::max(0.0, lo - kBearingPad);
-    hi = std::min(rf::kPi, hi + kBearingPad);
-    double best = 0.0;
-    for (const Kernel& k : table.arrays[i]) {
-      if (k.weight <= best) break;  // the exact early exit of max_kernel
-      const double d =
-          k.theta < lo ? lo - k.theta : (k.theta > hi ? k.theta - hi : 0.0);
-      best = std::max(best, k.weight * std::exp(-d * d * k.inv));
-    }
-    bound *= options_.epsilon + best;
-  }
-  return bound * (1.0 + kBoundSlack);
-}
-
 std::vector<LocationEstimate> Localizer::grid_search(
     const KernelTable& table, std::optional<double> relative_floor) const {
   DWATCH_SPAN("localize.grid");
@@ -333,22 +321,159 @@ std::vector<LocationEstimate> Localizer::grid_search(
     return iy / kBlockCells * bnx + ix / kBlockCells;
   };
 
-  // Every block's bound, then the blocks best-first (ties in scan order).
-  std::vector<double> bound(bnx * bny);
-  for (std::size_t by = 0; by < bny; ++by) {
-    for (std::size_t bx = 0; bx < bnx; ++bx) {
-      const std::size_t x1 = std::min(nx, (bx + 1) * kBlockCells) - 1;
-      const std::size_t y1 = std::min(ny, (by + 1) * kBlockCells) - 1;
-      bound[by * bnx + bx] =
-          block_bound(table, grid.point(bx * kBlockCells, by * kBlockCells),
-                      grid.point(x1, y1));
+  // The corner lattice: block (bx, by) is bounded over the rectangle of
+  // lattice points (bx, by) to (bx + 1, by + 1), clamped onto the last
+  // cell, so the four blocks around a point share it. The rectangle holds
+  // every cell of its block; it is one cell wider on a high side that
+  // has a next block.
+  const std::size_t lnx = bnx + 1;
+  const std::size_t lny = bny + 1;
+  const auto lattice_point = [&](std::size_t kx, std::size_t ky) {
+    return grid.point(std::min(kx * kBlockCells, nx - 1),
+                      std::min(ky * kBlockCells, ny - 1));
+  };
+  const auto lattice_slot = [&](std::size_t i, std::size_t kx,
+                                std::size_t ky) {
+    return (i * lny + ky) * lnx + kx;
+  };
+  // Each array's bearing of each lattice point, once per search. There is
+  // none from the array's own center; bearing_interval never reads it.
+  std::vector<double> bearings(arrays_.size() * lnx * lny);
+  for (std::size_t i = 0; i < arrays_.size(); ++i) {
+    if (table.arrays[i].empty()) continue;
+    for (std::size_t ky = 0; ky < lny; ++ky) {
+      for (std::size_t kx = 0; kx < lnx; ++kx) {
+        const rf::Vec2 p = lattice_point(kx, ky);
+        if (p == arrays_[i].center().xy()) continue;
+        bearings[lattice_slot(i, kx, ky)] = arrays_[i].arrival_angle_planar(p);
+      }
     }
   }
-  std::vector<std::size_t> order(bound.size());
+  // The padded bearing interval [lo, hi] within which array i sees every
+  // cell of block (bx, by).
+  const auto bearing_interval = [&](std::size_t i, std::size_t bx,
+                                    std::size_t by) {
+    const rf::UniformLinearArray& array = arrays_[i];
+    const rf::Vec2 axis = array.axis();
+    // Off the array's axis line, a convex rectangle sees the array within
+    // the bearing interval its corners span.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double lo = kInf;
+    double hi = -kInf;
+    double side_min = kInf;
+    double side_max = -kInf;
+    double along_min = kInf;
+    double along_max = -kInf;
+    bool undefined = false;
+    for (std::size_t ky = by; ky <= by + 1; ++ky) {
+      for (std::size_t kx = bx; kx <= bx + 1; ++kx) {
+        const rf::Vec2 r = lattice_point(kx, ky) - array.center().xy();
+        // No bearing from the array's own center (and no cell there is a
+        // candidate: too_close_to_array).
+        if (r.x == 0.0 && r.y == 0.0) {
+          undefined = true;
+          continue;
+        }
+        const double theta = bearings[lattice_slot(i, kx, ky)];
+        lo = std::min(lo, theta);
+        hi = std::max(hi, theta);
+        side_min = std::min(side_min, axis.cross(r));
+        side_max = std::max(side_max, axis.cross(r));
+        along_min = std::min(along_min, axis.dot(r));
+        along_max = std::max(along_max, axis.dot(r));
+      }
+    }
+    // Where the rectangle touches the axis line, it reaches bearing 0 (the
+    // -axis ray) or pi (the +axis ray); a rectangle around the array, or
+    // with a corner on it, reaches both.
+    if (undefined) {
+      lo = 0.0;
+      hi = rf::kPi;
+    } else if (side_min <= 0.0 && side_max >= 0.0) {
+      if (along_min <= 0.0) lo = 0.0;
+      if (along_max >= 0.0) hi = rf::kPi;
+    }
+    return std::pair{std::max(0.0, lo - kBearingPad),
+                     std::min(rf::kPi, hi + kBearingPad)};
+  };
+
+  // Every block's bound (an upper bound on likelihood_at() over its
+  // cells), then the blocks best-first (ties in scan order).
+  struct Block {
+    double bound = 0.0;
+    bool evaluated = false;
+  };
+  std::vector<Block> blocks(bnx * bny);
+  for (std::size_t by = 0; by < bny; ++by) {
+    for (std::size_t bx = 0; bx < bnx; ++bx) {
+      double bound = 1.0;
+      for (std::size_t i = 0; i < arrays_.size(); ++i) {
+        if (table.arrays[i].empty()) continue;
+        const auto [lo, hi] = bearing_interval(i, bx, by);
+        double best = 0.0;
+        for (const Kernel& k : table.arrays[i]) {
+          if (k.weight <= best) break;  // the exact early exit of max_kernel
+          best = std::max(best, kernel_at(k, nearest(k, lo, hi)));
+        }
+        bound *= options_.epsilon + best;
+      }
+      blocks[by * bnx + bx].bound = bound * (1.0 + kBoundSlack);
+    }
+  }
+  std::vector<std::size_t> order(blocks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return bound[a] > bound[b] || (bound[a] == bound[b] && a < b);
+    return blocks[a].bound > blocks[b].bound ||
+           (blocks[a].bound == blocks[b].bound && a < b);
   });
+
+  // The kernel lists of the block being evaluated, per array: a view of
+  // `pruned` at the array's own offset in the table. An array with fewer
+  // than two kernels keeps the table's view.
+  std::vector<std::span<const Kernel>> lists = table.arrays;
+  std::vector<Kernel> pruned(table.kernels.size());
+  const auto prune = [&](std::size_t i, std::size_t bx, std::size_t by) {
+    const std::span<const Kernel> all = table.arrays[i];
+    if (all.size() < 2) return;
+    const auto [lo, hi] = bearing_interval(i, bx, by);
+    // Some kernel reaches at least `floor` at every cell of the block:
+    // its value at its farthest distance to the interval.
+    double floor = 0.0;
+    for (const Kernel& k : all) {
+      if (k.weight <= floor) break;
+      floor = std::max(floor, kernel_at(k, farthest(k, lo, hi)));
+    }
+    // A kernel whose value at its nearest distance is below the floor
+    // loses to that kernel at every cell, so max_kernel returns the same
+    // double without it. The floor's own kernel always stays.
+    const double cut = floor * (1.0 - kBoundSlack);
+    Kernel* const first = pruned.data() + (all.data() - table.kernels.data());
+    Kernel* last = first;
+    for (const Kernel& k : all) {
+      // Weight order: once the weight itself loses, every later kernel
+      // does too.
+      if (k.weight * (1.0 + kBoundSlack) < cut) break;
+      if (kernel_at(k, nearest(k, lo, hi)) * (1.0 + kBoundSlack) < cut) {
+        continue;
+      }
+      *last++ = k;
+    }
+    lists[i] = {first, last};
+  };
+  // Whether some array's center lies within the near radius (plus slack)
+  // of the cell rectangle [low, high]. Only then can a cell of it fail
+  // too_close_to_array.
+  const auto near_an_array = [&](rf::Vec2 low, rf::Vec2 high) {
+    for (const auto& a : arrays_) {
+      const rf::Vec2 c = a.center().xy();
+      const double dx = std::max({low.x - c.x, 0.0, c.x - high.x});
+      const double dy = std::max({low.y - c.y, 0.0, c.y - high.y});
+      if (std::sqrt(dx * dx + dy * dy) <= kNearArrayM * (1.0 + kBoundSlack)) {
+        return true;
+      }
+    }
+    return false;
+  };
 
   // The threshold T: the kMaxCandidates-th best confirmed local maximum,
   // or relative_floor times the best one. It only rises.
@@ -372,7 +497,6 @@ std::vector<LocationEstimate> Localizer::grid_search(
   enum : std::uint8_t { kDead, kOpen, kConfirmed };
   std::vector<double> values(nx * ny);
   std::vector<std::uint8_t> state(nx * ny, kDead);
-  std::vector<std::uint8_t> evaluated(bound.size(), 0);
   std::vector<std::size_t> open;  // cells kOpen when their block ran
   // Re-examines an open cell against its neighbours: one evaluated above
   // it kills it; it is confirmed once every unevaluated neighbour lies
@@ -387,8 +511,8 @@ std::vector<LocationEstimate> Localizer::grid_search(
       for (std::size_t jx = ix == 0 ? 0 : ix - 1;
            jx <= std::min(ix + 1, nx - 1); ++jx) {
         const std::size_t b = block_of(jx, jy);
-        if (!evaluated[b]) {
-          sure = sure && bound[b] <= v;
+        if (!blocks[b].evaluated) {
+          sure = sure && blocks[b].bound <= v;
         } else if (values[jy * nx + jx] > v) {
           state[cell] = kDead;
           return;
@@ -404,17 +528,27 @@ std::vector<LocationEstimate> Localizer::grid_search(
   for (const std::size_t b : order) {
     // Every block from here on is bounded below T: none of its cells can
     // be a local maximum at or above T, nor outrank a neighbour that is.
-    if (bound[b] < threshold) break;
-    const std::size_t x0 = b % bnx * kBlockCells;
-    const std::size_t y0 = b / bnx * kBlockCells;
+    if (blocks[b].bound < threshold) break;
+    const std::size_t bx = b % bnx;
+    const std::size_t by = b / bnx;
+    const std::size_t x0 = bx * kBlockCells;
+    const std::size_t y0 = by * kBlockCells;
     const std::size_t x1 = std::min(nx, x0 + kBlockCells);
     const std::size_t y1 = std::min(ny, y0 + kBlockCells);
+    for (std::size_t i = 0; i < arrays_.size(); ++i) prune(i, bx, by);
+    const bool near = near_an_array(grid.point(x0, y0),
+                                    grid.point(x1 - 1, y1 - 1));
+    // likelihood_at() of each cell, on the block's kernel lists.
     for (std::size_t iy = y0; iy < y1; ++iy) {
       for (std::size_t ix = x0; ix < x1; ++ix) {
-        values[iy * nx + ix] = likelihood_at(grid.point(ix, iy), table);
+        const rf::Vec2 p = grid.point(ix, iy);
+        values[iy * nx + ix] =
+            near && too_close_to_array(p)
+                ? 0.0
+                : kernel_product(arrays_, lists, options_.epsilon, p);
       }
     }
-    evaluated[b] = 1;
+    blocks[b].evaluated = true;
     for (std::size_t iy = y0; iy < y1; ++iy) {
       for (std::size_t ix = x0; ix < x1; ++ix) {
         const std::size_t cell = iy * nx + ix;

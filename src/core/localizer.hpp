@@ -262,10 +262,6 @@ class Localizer {
   /// climbing), sorted by candidate_order().
   [[nodiscard]] std::vector<LocationEstimate> candidates(
       const KernelTable& table) const;
-  /// Upper bound on likelihood_at() over the grid cells of the block
-  /// with corner cells `low` and `high`.
-  [[nodiscard]] double block_bound(const KernelTable& table, rf::Vec2 low,
-                                   rf::Vec2 high) const;
   /// Exact branch-and-bound over blocks of grid cells, best bound first:
   /// every local maximum of the likelihood grid at or above a threshold
   /// T, with the value the full grid would hold. T is the

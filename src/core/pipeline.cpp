@@ -492,12 +492,17 @@ void DWatchPipeline::check_convergence() {
   }
   ++streaming_stats_.convergence_checks;
   // The stability probe runs on a COARSE grid (see
-  // kConvergenceGridStride): only the seal-time fix needs full
-  // resolution. Never undercut an active brownout stride.
+  // kConvergenceGridStride) in either mode: only the seal-time fix needs
+  // full resolution. Never undercut an active brownout stride, which
+  // set_brownout gives both localizers alike.
   const std::size_t prev_stride = localizer_.grid_stride();
-  localizer_.set_grid_stride(std::max(prev_stride, kConvergenceGridStride));
+  const std::size_t probe_stride =
+      std::max(prev_stride, kConvergenceGridStride);
+  localizer_.set_grid_stride(probe_stride);
+  rss_localizer_.set_grid_stride(probe_stride);
   const LocationEstimate est = best_effort_fix(/*log_ghosts=*/false);
   localizer_.set_grid_stride(prev_stride);
+  rss_localizer_.set_grid_stride(prev_stride);
   if (!est.valid) {
     stable_checks_ = 0;
     last_estimate_ = est;

@@ -68,7 +68,12 @@ double UniformLinearArray::arrival_angle(const Vec3& source) const {
 }
 
 double UniformLinearArray::arrival_angle_planar(Vec2 source_xy) const {
-  return arrival_angle(lift(source_xy, center_.z));
+  // arrival_angle() of the source lifted to array height, computed in the
+  // plane: the lifted offset's z is exactly +0, so its norm and its x, y
+  // direction are the planar ones bit for bit.
+  const Vec2 k = (source_xy - center_.xy()).normalized();
+  const double c = std::clamp(-(axis_.x * k.x + axis_.y * k.y), -1.0, 1.0);
+  return std::acos(c);
 }
 
 linalg::CVector UniformLinearArray::steering(double theta) const {

@@ -63,7 +63,9 @@ class UniformLinearArray {
 
   /// Same, for a point in the floor plane at array height (the 2-D
   /// assumption the localizer makes; differs from the 3-D truth when tags
-  /// and array are at different heights — paper Fig. 18).
+  /// and array are at different heights — paper Fig. 18). Bit-identical
+  /// to arrival_angle(lift(source_xy, center().z)); throws
+  /// std::domain_error at the array's own center.
   [[nodiscard]] double arrival_angle_planar(Vec2 source_xy) const;
 
   /// a(theta) for this array.

@@ -67,6 +67,14 @@ TEST(Localizer, EvidenceCountMismatchThrows) {
   EXPECT_THROW((void)loc.localize(wrong), std::invalid_argument);
   EXPECT_THROW((void)loc.likelihood_at({1, 1}, wrong),
                std::invalid_argument);
+  // The entry points without their own check, with evidence usable
+  // enough to reach the search.
+  std::vector<AngularEvidence> short_ev(2);
+  for (AngularEvidence& e : short_ev) e.drops.push_back(drop_at(1.0));
+  EXPECT_THROW((void)loc.localize_multi(short_ev, 2), std::invalid_argument);
+  EXPECT_THROW((void)loc.likelihood_grid(short_ev), std::invalid_argument);
+  EXPECT_THROW((void)loc.consensus_select({}, short_ev, 2),
+               std::invalid_argument);
 }
 
 TEST(Localizer, FourArrayConsensusPinpointsTarget) {

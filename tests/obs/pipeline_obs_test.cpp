@@ -12,8 +12,10 @@
 //     is bit-identical with the obs layer on and off.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -303,6 +305,53 @@ TEST(PipelineObs, StreamingProbesLogOnlyTheSealedFixGhosts) {
   ASSERT_GT(runner.pipeline().streaming_stats().convergence_checks, 0u);
   ASSERT_GT(rejected, 0u) << "fixture rejected no ghost";
   EXPECT_EQ(ghost_events, rejected);
+}
+
+TEST(PipelineObs, RssEarlySealProbesOnTheConvergenceStride) {
+  // The streaming convergence probe runs on the stride-4 grid in RSS mode
+  // as on the phase path. The early_seal event carries the probe's fix,
+  // so its position must lie on that grid (0.2 m steps from the origin).
+  const sim::Scene scene = make_scene();
+  harness::RunnerOptions opts = runner_options();
+  opts.pipeline.streaming.enabled = true;
+  opts.pipeline.rss_only.force = true;
+  harness::ExperimentRunner runner(scene, opts);
+  seed_calibration(runner, scene);
+  for (const rfid::Tag& tag : scene.deployment().tags) {
+    runner.pipeline().set_tag_position(tag.epc, tag.position.xy());
+  }
+  rf::Rng rng(9);
+  runner.collect_baselines(rng);
+  ASSERT_TRUE(runner.pipeline().rss_active());
+
+  const std::vector<sim::CylinderTarget> targets{
+      sim::CylinderTarget::human({3.0, 4.0})};
+  obs::EventLog::global().clear();
+  obs::set_enabled(true);
+  runner.run_epoch(targets, rng);
+  obs::set_enabled(false);
+  ASSERT_TRUE(runner.pipeline().early_fix_ready());
+
+  const double step = 4.0 * opts.pipeline.localizer.grid_step;
+  const auto on_lattice = [step](double coord) {
+    return std::abs(coord - step * std::round(coord / step)) < 1e-9;
+  };
+  const auto read = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::strtod(line.c_str() + at + key.size() + 3, nullptr);
+  };
+  std::size_t seals = 0;
+  for (const std::string& line : obs::EventLog::global().snapshot()) {
+    if (line.find("\"type\":\"pipeline.early_seal\"") == std::string::npos) {
+      continue;
+    }
+    ++seals;
+    const double x = read(line, "x");
+    const double y = read(line, "y");
+    EXPECT_TRUE(on_lattice(x) && on_lattice(y)) << x << "," << y;
+  }
+  EXPECT_EQ(seals, 1u);
 }
 
 #endif  // DWATCH_OBS_ENABLED

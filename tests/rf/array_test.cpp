@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <stdexcept>
+#include <vector>
 
 namespace dwatch::rf {
 namespace {
@@ -99,6 +103,24 @@ TEST(UniformLinearArray, PlanarAngleIgnoresHeight) {
   const double a1 = ula.arrival_angle_planar({4.0, 6.0});
   const double a2 = ula.arrival_angle({4.0, 6.0, 1.3});
   EXPECT_NEAR(a1, a2, 1e-12);
+}
+
+TEST(UniformLinearArray, PlanarAngleIsTheLiftedAngleBitForBit) {
+  // The planar bearing skips the lifted z term, which is exactly +0: it
+  // must return the 3-D angle's bits, on and off the axis line.
+  const UniformLinearArray ula({3.5, 0.15, 1.25}, {0.6, 0.8}, 8);
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> coord(-2.0, 9.0);
+  std::vector<Vec2> points{{3.5 + 0.6, 0.15 + 0.8}, {3.5 - 1.2, 0.15 - 1.6},
+                           {3.5, 0.15 + 1e-9}, {3.5 + 4.2, 0.15 + 5.6}};
+  for (int k = 0; k < 2000; ++k) points.push_back({coord(rng), coord(rng)});
+  for (const Vec2 p : points) {
+    const double planar = ula.arrival_angle_planar(p);
+    const double lifted = ula.arrival_angle(lift(p, 1.25));
+    EXPECT_EQ(std::memcmp(&planar, &lifted, sizeof planar), 0)
+        << p.x << "," << p.y << ": " << planar << " vs " << lifted;
+  }
+  EXPECT_THROW((void)ula.arrival_angle_planar({3.5, 0.15}), std::domain_error);
 }
 
 TEST(UniformLinearArray, SteeringMatchesFreeFunction) {
