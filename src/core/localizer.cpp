@@ -1,6 +1,7 @@
 #include "core/localizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -72,7 +73,55 @@ double Localizer::global_drop_norm(
   return norm;
 }
 
+namespace detail {
+
+/// One detected drop on the phase path: a Gaussian in the bearing an
+/// array sees a point at.
+struct BearingKernel {
+  double theta = 0.0;
+  double weight = 0.0;  ///< (power drop / norm)^power_exponent
+  double inv = 0.0;     ///< 1 / (2 (kernel_sigma * sigma_scale)^2)
+
+  /// What the kernels of `array` measure a point's distance from.
+  static double probe(const rf::UniformLinearArray& array, rf::Vec2 p) {
+    return array.arrival_angle_planar(p);
+  }
+  [[nodiscard]] double distance(double bearing) const {
+    return bearing - theta;
+  }
+  /// Consensus is ANGULAR agreement: an array supports a point iff one
+  /// of its drops points at it, whatever that drop's strength.
+  [[nodiscard]] double support(double d) const {
+    return std::exp(-d * d * inv);
+  }
+};
+
+/// One attenuated link on the RSS path: a Gaussian in a point's distance
+/// to the segment from the array's center to the tag.
+struct SegmentKernel {
+  rf::Vec2 a;  ///< the array's center
+  rf::Vec2 b;  ///< the tag
+  double weight = 0.0;  ///< (drop fraction / norm)^power_exponent
+  double inv = 0.0;     ///< 1 / (2 kRssLateralSigmaM^2)
+
+  static rf::Vec2 probe(const rf::UniformLinearArray&, rf::Vec2 p) {
+    return p;
+  }
+  [[nodiscard]] double distance(rf::Vec2 p) const {
+    return rf::point_segment_distance(p, a, b);
+  }
+  /// RSS consensus is weighted: the kernel's evidence value itself.
+  [[nodiscard]] double support(double d) const {
+    return weight * std::exp(-d * d * inv);
+  }
+};
+
+}  // namespace detail
+
 namespace {
+
+using detail::BearingKernel;
+using detail::SegmentKernel;
 
 /// Cells per side of a branch-and-bound block of the grid search (the
 /// last block of a row or column may be partial).
@@ -81,26 +130,37 @@ constexpr std::size_t kBlockCells = 8;
 /// next to bearings 0 and pi, so a cell's computed bearing may stray
 /// that far outside its block's corner interval; the pad keeps it in.
 constexpr double kBearingPad = 1e-6;
+/// Slack [m] on a block's segment distances. point_segment_distance
+/// rounds by a few ulp of the coordinates (below 1e-12 m in any room
+/// under a kilometre across), so a cell's computed distance may stray
+/// that far outside its block's [nearest, farthest]; the pad keeps it in.
+constexpr double kSegmentPad = 1e-9;
 /// Relative slack on a block bound, for the rounding of exp and of the
 /// product over arrays; also the margin of the per-block kernel lists and
 /// of the near-array test.
 constexpr double kBoundSlack = 1e-9;
 /// Radius [m] around an array's center within which no cell is a
-/// candidate (too_close_to_array).
+/// candidate on the phase path (too_close_to_array).
 constexpr double kNearArrayM = 0.25;
 
-/// One detected drop reduced to what the evidence kernel reads.
-struct Kernel {
-  double theta = 0.0;
-  double weight = 0.0;  ///< (power drop / norm)^power_exponent
-  double inv = 0.0;     ///< 1 / (2 (kernel_sigma * sigma_scale)^2)
-};
-
-/// Appends one array's kernels to `out`, heaviest first (the order the
+/// Sorts one array's kernels [first, end) heaviest first (the order the
 /// exact early exit in max_kernel needs).
-void append_kernels(std::vector<Kernel>& out, const AngularEvidence& evidence,
-                    double norm, double power_exponent, double inv_2s2) {
-  const auto first = static_cast<std::ptrdiff_t>(out.size());
+template <class Kernel>
+void sort_by_weight(std::vector<Kernel>& kernels, std::size_t first) {
+  // A NaN weight (never a maximum) sorts last so the order stays a
+  // strict weak ordering.
+  std::stable_sort(kernels.begin() + static_cast<std::ptrdiff_t>(first),
+                   kernels.end(), [](const Kernel& x, const Kernel& y) {
+                     return x.weight > y.weight ||
+                            (!std::isnan(x.weight) && std::isnan(y.weight));
+                   });
+}
+
+/// Appends one array's bearing kernels to `out`, heaviest first.
+void append_kernels(std::vector<BearingKernel>& out,
+                    const AngularEvidence& evidence, double norm,
+                    double power_exponent, double inv_2s2) {
+  const std::size_t first = out.size();
   for (const PathDrop& d : evidence.drops) {
     const double power_drop =
         std::max(d.baseline_power - d.online_power, 0.0);
@@ -113,85 +173,281 @@ void append_kernels(std::vector<Kernel>& out, const AngularEvidence& evidence,
     out.push_back(
         {d.theta, weight, inv_2s2 / (d.sigma_scale * d.sigma_scale)});
   }
-  // A NaN weight (never a maximum) sorts last so the order stays a
-  // strict weak ordering.
-  std::stable_sort(out.begin() + first, out.end(),
-                   [](const Kernel& x, const Kernel& y) {
-                     return x.weight > y.weight ||
-                            (!std::isnan(x.weight) && std::isnan(y.weight));
-                   });
+  sort_by_weight(out, first);
 }
 
-/// Kernel k's value at angular distance d from its bearing. Every caller
-/// evaluates this one expression, so a larger d never yields more.
+/// Kernel k's value at distance d from it. Every caller evaluates this
+/// one expression, so a larger |d| never yields more.
+template <class Kernel>
 double kernel_at(const Kernel& k, double d) {
   return k.weight * std::exp(-d * d * k.inv);
 }
 
-/// Distance from k's bearing to the nearest point of [lo, hi].
-double nearest(const Kernel& k, double lo, double hi) {
-  return k.theta < lo ? lo - k.theta : (k.theta > hi ? k.theta - hi : 0.0);
-}
-
-/// Distance from k's bearing to the farthest point of [lo, hi].
-double farthest(const Kernel& k, double lo, double hi) {
-  return std::max(k.theta - lo, hi - k.theta);
-}
-
-/// dOmega_i(theta): MAX-combine of one array's kernels.
-double max_kernel(std::span<const Kernel> kernels, double theta) {
+/// MAX-combine of one array's kernels at `probe` (a bearing or a point).
+template <class Kernel, class Probe>
+double max_kernel(std::span<const Kernel> kernels, Probe probe) {
   // MAX-combine across drops: several drops at one bearing are usually
   // one physical blockage seen through several tags' spectra (or one
   // reflector's ghost), so they must not pile up additively — otherwise
   // a cluster of weak reflection-path ghosts outvotes one honest
-  // direct-path drop.
+  // direct-path drop. Several shadowed links of one array likewise.
   double best = 0.0;
   for (const Kernel& k : kernels) {
     // Exact early exit: the Gaussian factor is at most 1 and the
-    // weights only fall from here, so no later drop can raise the max.
+    // weights only fall from here, so no later kernel can raise the max.
     if (k.weight <= best) break;
-    best = std::max(best, kernel_at(k, theta - k.theta));
+    best = std::max(best, kernel_at(k, k.distance(probe)));
   }
   return best;
 }
 
-/// prod_i (epsilon + dOmega_i(theta_i(point))) over the arrays whose
-/// kernel list is not empty: L(O) without the near-array test.
-double kernel_product(std::span<const rf::UniformLinearArray> arrays,
-                      std::span<const std::span<const Kernel>> lists,
-                      double epsilon, rf::Vec2 point) {
+/// prod_i (epsilon + max_kernel_i(point)) over the arrays whose kernel
+/// list is not empty: L(O) without the near-array test. The grid search's
+/// cell loop runs on it, so it is inlined into every caller.
+template <class Kernel>
+[[gnu::always_inline]] inline double kernel_product(
+    std::span<const rf::UniformLinearArray> arrays,
+    std::span<const std::span<const Kernel>> lists, double epsilon,
+    rf::Vec2 point) {
   double l = 1.0;
   for (std::size_t i = 0; i < arrays.size(); ++i) {
     if (lists[i].empty()) continue;
-    const double theta = arrays[i].arrival_angle_planar(point);
-    l *= epsilon + max_kernel(lists[i], theta);
+    l *= epsilon + max_kernel(lists[i], Kernel::probe(arrays[i], point));
   }
   return l;
 }
 
+/// Distance from p to the nearest point of the rectangle [low, high].
+double rect_distance(rf::Vec2 p, rf::Vec2 low, rf::Vec2 high) {
+  const double dx = std::max({low.x - p.x, 0.0, p.x - high.x});
+  const double dy = std::max({low.y - p.y, 0.0, p.y - high.y});
+  return std::sqrt(dx * dx + dy * dy);
+}
+
+/// The corner lattice of a grid's blocks: lattice point (kx, ky) is grid
+/// cell (min(8 kx, nx - 1), min(8 ky, ny - 1)), so block (bx, by) spans
+/// points (bx, by) to (bx + 1, by + 1) and the four blocks around a point
+/// share it. That rectangle holds every cell of its block; it is one cell
+/// wider on a high side that has a next block.
+struct Lattice {
+  const LikelihoodGrid& grid;
+  std::size_t nx;
+  std::size_t ny;
+
+  [[nodiscard]] rf::Vec2 point(std::size_t kx, std::size_t ky) const {
+    return grid.point(std::min(kx * kBlockCells, grid.nx - 1),
+                      std::min(ky * kBlockCells, grid.ny - 1));
+  }
+};
+
+/// The padded bearing interval [lo, hi] in which an array sees every cell
+/// of a block.
+struct BearingInterval {
+  double lo;
+  double hi;
+};
+
+/// Distance from k's bearing to the nearest point of the interval.
+double nearest(const BearingKernel& k, BearingInterval r) {
+  return k.theta < r.lo ? r.lo - k.theta
+                        : (k.theta > r.hi ? k.theta - r.hi : 0.0);
+}
+
+/// Distance from k's bearing to the farthest point of the interval.
+double farthest(const BearingKernel& k, BearingInterval r) {
+  return std::max(k.theta - r.lo, r.hi - k.theta);
+}
+
+/// A block's lattice rectangle, the same for every array.
+struct CellRect {
+  rf::Vec2 lo;
+  rf::Vec2 hi;
+
+  [[nodiscard]] std::array<rf::Vec2, 4> corners() const {
+    return {lo, rf::Vec2{hi.x, lo.y}, rf::Vec2{lo.x, hi.y}, hi};
+  }
+};
+
+/// A lower bound on every cell's distance to k's segment: the segment's
+/// distance to the rectangle (0 where they meet), less the pad.
+double nearest(const SegmentKernel& k, CellRect r) {
+  // Separating axes of a segment and an axis-aligned rectangle: x, y and
+  // the segment's normal. A corner's cross product is |ab| times its
+  // signed distance to the segment's line; a corner within the pad of
+  // that line does not count as separated, so no rounded sign can hide
+  // an intersection.
+  const bool apart =
+      std::max(k.a.x, k.b.x) < r.lo.x || std::min(k.a.x, k.b.x) > r.hi.x ||
+      std::max(k.a.y, k.b.y) < r.lo.y || std::min(k.a.y, k.b.y) > r.hi.y;
+  const auto corners = r.corners();
+  if (!apart) {
+    const rf::Vec2 ab = k.b - k.a;
+    const double tol = kSegmentPad * ab.norm();
+    int above = 0;
+    int below = 0;
+    for (const rf::Vec2& c : corners) {
+      const double side = ab.cross(c - k.a);
+      above += side > tol ? 1 : 0;
+      below += side < -tol ? 1 : 0;
+    }
+    if (above < 4 && below < 4) return 0.0;  // they meet
+  }
+  // Two disjoint convex sets are nearest at a vertex of one of them.
+  double d = std::min(rect_distance(k.a, r.lo, r.hi),
+                      rect_distance(k.b, r.lo, r.hi));
+  for (const rf::Vec2& c : corners) {
+    d = std::min(d, rf::point_segment_distance(c, k.a, k.b));
+  }
+  return std::max(0.0, d - kSegmentPad);
+}
+
+/// An upper bound on every cell's distance to k's segment. Distance to a
+/// segment (a convex set) is convex, so over a rectangle it peaks at a
+/// corner.
+double farthest(const SegmentKernel& k, CellRect r) {
+  double d = 0.0;
+  for (const rf::Vec2& c : r.corners()) {
+    d = std::max(d, rf::point_segment_distance(c, k.a, k.b));
+  }
+  return d + kSegmentPad;
+}
+
+/// The region of a block that array i's kernels are bounded over, per
+/// kernel kind: `regions(i, bx, by)`.
+template <class Kernel>
+class BlockRegions;
+
+template <>
+class BlockRegions<BearingKernel> {
+ public:
+  BlockRegions(std::span<const rf::UniformLinearArray> arrays,
+               std::span<const std::span<const BearingKernel>> lists,
+               const Lattice& lattice)
+      : arrays_(arrays),
+        lattice_(lattice),
+        bearings_(arrays.size() * lattice.nx * lattice.ny) {
+    // Each array's bearing of each lattice point, once per search. There
+    // is none from the array's own center; operator() never reads it.
+    for (std::size_t i = 0; i < arrays.size(); ++i) {
+      if (lists[i].empty()) continue;
+      for (std::size_t ky = 0; ky < lattice.ny; ++ky) {
+        for (std::size_t kx = 0; kx < lattice.nx; ++kx) {
+          const rf::Vec2 p = lattice.point(kx, ky);
+          if (p == arrays[i].center().xy()) continue;
+          bearings_[slot(i, kx, ky)] = arrays[i].arrival_angle_planar(p);
+        }
+      }
+    }
+  }
+
+  /// The padded bearing interval [lo, hi] within which array i sees every
+  /// cell of block (bx, by).
+  BearingInterval operator()(std::size_t i, std::size_t bx,
+                             std::size_t by) const {
+    const rf::UniformLinearArray& array = arrays_[i];
+    const rf::Vec2 axis = array.axis();
+    // Off the array's axis line, a convex rectangle sees the array within
+    // the bearing interval its corners span.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    double lo = kInf;
+    double hi = -kInf;
+    double side_min = kInf;
+    double side_max = -kInf;
+    double along_min = kInf;
+    double along_max = -kInf;
+    bool undefined = false;
+    for (std::size_t ky = by; ky <= by + 1; ++ky) {
+      for (std::size_t kx = bx; kx <= bx + 1; ++kx) {
+        const rf::Vec2 r = lattice_.point(kx, ky) - array.center().xy();
+        // No bearing from the array's own center (and no cell there is a
+        // candidate: too_close_to_array).
+        if (r.x == 0.0 && r.y == 0.0) {
+          undefined = true;
+          continue;
+        }
+        const double theta = bearings_[slot(i, kx, ky)];
+        lo = std::min(lo, theta);
+        hi = std::max(hi, theta);
+        side_min = std::min(side_min, axis.cross(r));
+        side_max = std::max(side_max, axis.cross(r));
+        along_min = std::min(along_min, axis.dot(r));
+        along_max = std::max(along_max, axis.dot(r));
+      }
+    }
+    // Where the rectangle touches the axis line, it reaches bearing 0 (the
+    // -axis ray) or pi (the +axis ray); a rectangle around the array, or
+    // with a corner on it, reaches both.
+    if (undefined) {
+      lo = 0.0;
+      hi = rf::kPi;
+    } else if (side_min <= 0.0 && side_max >= 0.0) {
+      if (along_min <= 0.0) lo = 0.0;
+      if (along_max >= 0.0) hi = rf::kPi;
+    }
+    return {std::max(0.0, lo - kBearingPad),
+            std::min(rf::kPi, hi + kBearingPad)};
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot(std::size_t i, std::size_t kx,
+                                 std::size_t ky) const {
+    return (i * lattice_.ny + ky) * lattice_.nx + kx;
+  }
+
+  std::span<const rf::UniformLinearArray> arrays_;
+  const Lattice& lattice_;
+  std::vector<double> bearings_;
+};
+
+template <>
+class BlockRegions<SegmentKernel> {
+ public:
+  BlockRegions(std::span<const rf::UniformLinearArray>,
+               std::span<const std::span<const SegmentKernel>>,
+               const Lattice& lattice)
+      : lattice_(lattice) {}
+
+  CellRect operator()(std::size_t, std::size_t bx, std::size_t by) const {
+    return {lattice_.point(bx, by), lattice_.point(bx + 1, by + 1)};
+  }
+
+ private:
+  const Lattice& lattice_;
+};
+
 }  // namespace
 
-/// Every usable array's kernels in one buffer, array by array, and one
-/// view per array into it, indexed like the arrays; the view of an array
-/// that is not usable (silent or excluded) is empty. The views point
-/// into `kernels`, so the table moves but never copies.
+/// Every array's kernels in one buffer, array by array, and one view per
+/// array into it, indexed like the arrays; the view of an array that
+/// does not enter the product is empty. The views point into `kernels`,
+/// so the table moves but never copies.
+template <class Kernel>
 struct Localizer::KernelTable {
   std::vector<Kernel> kernels;
   std::vector<std::span<const Kernel>> arrays;
+  /// Cells within this radius of an array's center score 0 and support
+  /// nothing (kNearArrayM for bearings; 0, no zone, for segments).
+  double near_m = 0.0;
+  /// Arrays with evidence of their own (not excluded, not silent).
+  std::size_t usable = 0;
+  /// The weight normalizer.
+  double norm = 0.0;
 
   KernelTable() = default;
   KernelTable(KernelTable&&) = default;
   KernelTable(const KernelTable&) = delete;
 };
 
-Localizer::KernelTable Localizer::kernel_table(
+Localizer::KernelTable<BearingKernel> Localizer::kernel_table(
     std::span<const AngularEvidence> evidence) const {
   // Every search indexes the table like the arrays.
   if (evidence.size() != arrays_.size()) {
     throw std::invalid_argument("Localizer: evidence count mismatch");
   }
-  const double norm = global_drop_norm(evidence);
-  KernelTable table;
+  KernelTable<BearingKernel> table;
+  table.near_m = kNearArrayM;
+  table.usable = arrays_with_evidence(evidence);
+  table.norm = global_drop_norm(evidence);
   std::size_t total = 0;
   for (const AngularEvidence& e : evidence) {
     if (e.usable()) total += e.drops.size();
@@ -204,19 +460,67 @@ Localizer::KernelTable Localizer::kernel_table(
     // (degraded mode) — also contributes nothing.
     if (!evidence[i].usable()) continue;
     const std::size_t first = table.kernels.size();
-    append_kernels(table.kernels, evidence[i], norm, options_.power_exponent,
-                   inv_2s2_);
-    table.arrays[i] = std::span<const Kernel>(table.kernels).subspan(first);
+    append_kernels(table.kernels, evidence[i], table.norm,
+                   options_.power_exponent, inv_2s2_);
+    table.arrays[i] =
+        std::span<const BearingKernel>(table.kernels).subspan(first);
+  }
+  return table;
+}
+
+Localizer::KernelTable<SegmentKernel> Localizer::kernel_table(
+    std::span<const RssLink> links,
+    std::span<const std::uint8_t> excluded) const {
+  if (excluded.size() != arrays_.size()) {
+    throw std::invalid_argument("Localizer: excluded flag count mismatch");
+  }
+  KernelTable<SegmentKernel> table;
+  for (const RssLink& link : links) {
+    if (link.array_idx >= arrays_.size()) {
+      throw std::invalid_argument("Localizer: RSS link array out of range");
+    }
+    // An excluded array's links must not rescale the healthy weights.
+    if (excluded[link.array_idx] == 0) {
+      table.norm = std::max(table.norm, link.drop_fraction);
+    }
+  }
+  constexpr double kInv2s2 =
+      1.0 / (2.0 * kRssLateralSigmaM * kRssLateralSigmaM);
+  // At most one kernel per link plus one per silent array.
+  table.kernels.reserve(links.size() + arrays_.size());
+  table.arrays.resize(arrays_.size());
+  for (std::size_t i = 0; i < arrays_.size(); ++i) {
+    if (excluded[i] != 0) continue;
+    const std::size_t first = table.kernels.size();
+    const rf::Vec2 center = arrays_[i].center().xy();
+    for (const RssLink& link : links) {
+      if (link.array_idx != i || link.drop_fraction < kRssMinDropFraction) {
+        continue;
+      }
+      const double weight =
+          std::pow(link.drop_fraction / table.norm, options_.power_exponent);
+      table.kernels.push_back({center, link.tag_position, weight, kInv2s2});
+    }
+    if (table.kernels.size() > first) {
+      ++table.usable;
+    } else {
+      // A silent array still enters the product, as a factor of epsilon:
+      // one kernel of weight 0.
+      table.kernels.push_back({center, center, 0.0, kInv2s2});
+    }
+    sort_by_weight(table.kernels, first);
+    table.arrays[i] =
+        std::span<const SegmentKernel>(table.kernels).subspan(first);
   }
   return table;
 }
 
 double Localizer::evidence_at(const AngularEvidence& evidence, double theta,
                               double norm) const {
-  std::vector<Kernel> kernels;
+  std::vector<BearingKernel> kernels;
   kernels.reserve(evidence.drops.size());
   append_kernels(kernels, evidence, norm, options_.power_exponent, inv_2s2_);
-  return max_kernel(kernels, theta);
+  return max_kernel(std::span<const BearingKernel>(kernels), theta);
 }
 
 std::size_t Localizer::arrays_with_evidence(
@@ -244,12 +548,12 @@ std::size_t Localizer::effective_min_arrays(
   return std::min(options_.min_arrays, std::max<std::size_t>(1, active));
 }
 
-bool Localizer::too_close_to_array(rf::Vec2 point) const {
+bool Localizer::too_close_to_array(rf::Vec2 point, double radius) const {
   // A candidate sitting (nearly) on an array is geometrically degenerate
-  // (its bearing is undefined, every evidence kernel matches something)
-  // and physically impossible for a target.
+  // for bearings (its bearing is undefined, every evidence kernel matches
+  // something) and physically impossible for a target.
   for (const auto& a : arrays_) {
-    if (rf::distance(point, a.center().xy()) < kNearArrayM) return true;
+    if (rf::distance(point, a.center().xy()) < radius) return true;
   }
   return false;
 }
@@ -262,36 +566,38 @@ double Localizer::likelihood_at(
   return likelihood_at(point, kernel_table(evidence));
 }
 
+template <class Kernel>
 double Localizer::likelihood_at(rf::Vec2 point,
-                                const KernelTable& table) const {
-  if (too_close_to_array(point)) return 0.0;
-  return kernel_product(arrays_, table.arrays, options_.epsilon, point);
+                                const KernelTable<Kernel>& table) const {
+  if (too_close_to_array(point, table.near_m)) return 0.0;
+  return kernel_product<Kernel>(arrays_, table.arrays, options_.epsilon,
+                                point);
 }
 
+template <class Kernel>
 std::size_t Localizer::consensus_at(rf::Vec2 point,
-                                    const KernelTable& table) const {
-  // Consensus is about ANGULAR agreement, not power: an array supports a
-  // candidate iff one of its drops points at it (kernel proximity),
-  // whatever that drop's strength. Power weighting then ranks candidates
-  // WITHIN a consensus level via the likelihood.
-  if (too_close_to_array(point)) return 0;
+                                    const KernelTable<Kernel>& table) const {
+  // Each kernel kind says what support means (Kernel::support); power
+  // weighting then ranks candidates WITHIN a consensus level via the
+  // likelihood.
+  if (too_close_to_array(point, table.near_m)) return 0;
   std::size_t n = 0;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
     if (table.arrays[i].empty()) continue;
-    const double theta = arrays_[i].arrival_angle_planar(point);
+    const auto probe = Kernel::probe(arrays_[i], point);
     double best = 0.0;
     for (const Kernel& k : table.arrays[i]) {
       if (best >= options_.consensus_floor) break;  // the count is settled
-      const double delta = theta - k.theta;
-      best = std::max(best, std::exp(-delta * delta * k.inv));
+      best = std::max(best, k.support(k.distance(probe)));
     }
     if (best >= options_.consensus_floor) ++n;
   }
   return n;
 }
 
+template <class Kernel>
 std::vector<LocationEstimate> Localizer::candidates(
-    const KernelTable& table) const {
+    const KernelTable<Kernel>& table) const {
   std::vector<LocationEstimate> found = options_.hill_climbing
                                             ? hill_climb_candidates(table)
                                             : grid_search(table);
@@ -309,8 +615,16 @@ std::vector<LocationEstimate> Localizer::grid_candidates(
   return grid_search(kernel_table(evidence));
 }
 
+std::vector<LocationEstimate> Localizer::grid_candidates(
+    std::span<const RssLink> links,
+    std::span<const std::uint8_t> excluded) const {
+  return grid_search(kernel_table(links, excluded));
+}
+
+template <class Kernel>
 std::vector<LocationEstimate> Localizer::grid_search(
-    const KernelTable& table, std::optional<double> relative_floor) const {
+    const KernelTable<Kernel>& table,
+    std::optional<double> relative_floor) const {
   DWATCH_SPAN("localize.grid");
   const LikelihoodGrid grid = grid_shape();
   const std::size_t nx = grid.nx;
@@ -320,82 +634,10 @@ std::vector<LocationEstimate> Localizer::grid_search(
   const auto block_of = [&](std::size_t ix, std::size_t iy) {
     return iy / kBlockCells * bnx + ix / kBlockCells;
   };
-
-  // The corner lattice: block (bx, by) is bounded over the rectangle of
-  // lattice points (bx, by) to (bx + 1, by + 1), clamped onto the last
-  // cell, so the four blocks around a point share it. The rectangle holds
-  // every cell of its block; it is one cell wider on a high side that
-  // has a next block.
-  const std::size_t lnx = bnx + 1;
-  const std::size_t lny = bny + 1;
-  const auto lattice_point = [&](std::size_t kx, std::size_t ky) {
-    return grid.point(std::min(kx * kBlockCells, nx - 1),
-                      std::min(ky * kBlockCells, ny - 1));
-  };
-  const auto lattice_slot = [&](std::size_t i, std::size_t kx,
-                                std::size_t ky) {
-    return (i * lny + ky) * lnx + kx;
-  };
-  // Each array's bearing of each lattice point, once per search. There is
-  // none from the array's own center; bearing_interval never reads it.
-  std::vector<double> bearings(arrays_.size() * lnx * lny);
-  for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (table.arrays[i].empty()) continue;
-    for (std::size_t ky = 0; ky < lny; ++ky) {
-      for (std::size_t kx = 0; kx < lnx; ++kx) {
-        const rf::Vec2 p = lattice_point(kx, ky);
-        if (p == arrays_[i].center().xy()) continue;
-        bearings[lattice_slot(i, kx, ky)] = arrays_[i].arrival_angle_planar(p);
-      }
-    }
-  }
-  // The padded bearing interval [lo, hi] within which array i sees every
-  // cell of block (bx, by).
-  const auto bearing_interval = [&](std::size_t i, std::size_t bx,
-                                    std::size_t by) {
-    const rf::UniformLinearArray& array = arrays_[i];
-    const rf::Vec2 axis = array.axis();
-    // Off the array's axis line, a convex rectangle sees the array within
-    // the bearing interval its corners span.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    double lo = kInf;
-    double hi = -kInf;
-    double side_min = kInf;
-    double side_max = -kInf;
-    double along_min = kInf;
-    double along_max = -kInf;
-    bool undefined = false;
-    for (std::size_t ky = by; ky <= by + 1; ++ky) {
-      for (std::size_t kx = bx; kx <= bx + 1; ++kx) {
-        const rf::Vec2 r = lattice_point(kx, ky) - array.center().xy();
-        // No bearing from the array's own center (and no cell there is a
-        // candidate: too_close_to_array).
-        if (r.x == 0.0 && r.y == 0.0) {
-          undefined = true;
-          continue;
-        }
-        const double theta = bearings[lattice_slot(i, kx, ky)];
-        lo = std::min(lo, theta);
-        hi = std::max(hi, theta);
-        side_min = std::min(side_min, axis.cross(r));
-        side_max = std::max(side_max, axis.cross(r));
-        along_min = std::min(along_min, axis.dot(r));
-        along_max = std::max(along_max, axis.dot(r));
-      }
-    }
-    // Where the rectangle touches the axis line, it reaches bearing 0 (the
-    // -axis ray) or pi (the +axis ray); a rectangle around the array, or
-    // with a corner on it, reaches both.
-    if (undefined) {
-      lo = 0.0;
-      hi = rf::kPi;
-    } else if (side_min <= 0.0 && side_max >= 0.0) {
-      if (along_min <= 0.0) lo = 0.0;
-      if (along_max >= 0.0) hi = rf::kPi;
-    }
-    return std::pair{std::max(0.0, lo - kBearingPad),
-                     std::min(rf::kPi, hi + kBearingPad)};
-  };
+  // Block (bx, by) is bounded over its lattice rectangle, per array over
+  // the region its kernels measure (a bearing interval or the rectangle).
+  const Lattice lattice{grid, bnx + 1, bny + 1};
+  const BlockRegions<Kernel> regions(arrays_, table.arrays, lattice);
 
   // Every block's bound (an upper bound on likelihood_at() over its
   // cells), then the blocks best-first (ties in scan order).
@@ -409,11 +651,11 @@ std::vector<LocationEstimate> Localizer::grid_search(
       double bound = 1.0;
       for (std::size_t i = 0; i < arrays_.size(); ++i) {
         if (table.arrays[i].empty()) continue;
-        const auto [lo, hi] = bearing_interval(i, bx, by);
+        const auto region = regions(i, bx, by);
         double best = 0.0;
         for (const Kernel& k : table.arrays[i]) {
           if (k.weight <= best) break;  // the exact early exit of max_kernel
-          best = std::max(best, kernel_at(k, nearest(k, lo, hi)));
+          best = std::max(best, kernel_at(k, nearest(k, region)));
         }
         bound *= options_.epsilon + best;
       }
@@ -435,13 +677,13 @@ std::vector<LocationEstimate> Localizer::grid_search(
   const auto prune = [&](std::size_t i, std::size_t bx, std::size_t by) {
     const std::span<const Kernel> all = table.arrays[i];
     if (all.size() < 2) return;
-    const auto [lo, hi] = bearing_interval(i, bx, by);
+    const auto region = regions(i, bx, by);
     // Some kernel reaches at least `floor` at every cell of the block:
-    // its value at its farthest distance to the interval.
+    // its value at its farthest distance to the region.
     double floor = 0.0;
     for (const Kernel& k : all) {
       if (k.weight <= floor) break;
-      floor = std::max(floor, kernel_at(k, farthest(k, lo, hi)));
+      floor = std::max(floor, kernel_at(k, farthest(k, region)));
     }
     // A kernel whose value at its nearest distance is below the floor
     // loses to that kernel at every cell, so max_kernel returns the same
@@ -453,7 +695,7 @@ std::vector<LocationEstimate> Localizer::grid_search(
       // Weight order: once the weight itself loses, every later kernel
       // does too.
       if (k.weight * (1.0 + kBoundSlack) < cut) break;
-      if (kernel_at(k, nearest(k, lo, hi)) * (1.0 + kBoundSlack) < cut) {
+      if (kernel_at(k, nearest(k, region)) * (1.0 + kBoundSlack) < cut) {
         continue;
       }
       *last++ = k;
@@ -465,10 +707,8 @@ std::vector<LocationEstimate> Localizer::grid_search(
   // too_close_to_array.
   const auto near_an_array = [&](rf::Vec2 low, rf::Vec2 high) {
     for (const auto& a : arrays_) {
-      const rf::Vec2 c = a.center().xy();
-      const double dx = std::max({low.x - c.x, 0.0, c.x - high.x});
-      const double dy = std::max({low.y - c.y, 0.0, c.y - high.y});
-      if (std::sqrt(dx * dx + dy * dy) <= kNearArrayM * (1.0 + kBoundSlack)) {
+      if (rect_distance(a.center().xy(), low, high) <=
+          table.near_m * (1.0 + kBoundSlack)) {
         return true;
       }
     }
@@ -543,9 +783,10 @@ std::vector<LocationEstimate> Localizer::grid_search(
       for (std::size_t ix = x0; ix < x1; ++ix) {
         const rf::Vec2 p = grid.point(ix, iy);
         values[iy * nx + ix] =
-            near && too_close_to_array(p)
+            near && too_close_to_array(p, table.near_m)
                 ? 0.0
-                : kernel_product(arrays_, lists, options_.epsilon, p);
+                : kernel_product<Kernel>(arrays_, lists, options_.epsilon,
+                                         p);
       }
     }
     blocks[b].evaluated = true;
@@ -580,8 +821,9 @@ std::vector<LocationEstimate> Localizer::grid_search(
   return found;
 }
 
+template <class Kernel>
 std::vector<LocationEstimate> Localizer::hill_climb_candidates(
-    const KernelTable& table) const {
+    const KernelTable<Kernel>& table) const {
   DWATCH_SPAN("localize.hill_climb");
   // Multi-start: coarse seed lattice, then 8-neighbour ascent on the
   // fine grid (the paper's hill climbing). Produces one candidate per
@@ -640,9 +882,10 @@ LocationEstimate Localizer::consensus_select(
                           min_arrays);
 }
 
+template <class Kernel>
 LocationEstimate Localizer::consensus_select(
-    std::vector<LocationEstimate> candidates, const KernelTable& table,
-    std::size_t min_arrays) const {
+    std::vector<LocationEstimate> candidates,
+    const KernelTable<Kernel>& table, std::size_t min_arrays) const {
   // Rank by the total order BEFORE the cap: which 24 get scored must
   // not depend on the order restarts (or a caller) produced them in.
   std::sort(candidates.begin(), candidates.end(), candidate_order);
@@ -673,11 +916,23 @@ LocationEstimate Localizer::localize(
   if (arrays_with_evidence(evidence) < min_arrays) {
     return LocationEstimate{};  // not covered
   }
-  const KernelTable table = kernel_table(evidence);
+  const KernelTable<BearingKernel> table = kernel_table(evidence);
   // Consensus selection (outlier rejection): among the likelihood peaks,
   // prefer the one the most arrays genuinely point at; candidates backed
   // by fewer than min_arrays arrays are not a valid fix at all.
   return consensus_select(candidates(table), table, min_arrays);
+}
+
+LocationEstimate Localizer::localize(
+    std::span<const RssLink> links,
+    std::span<const std::uint8_t> excluded) const {
+  DWATCH_SPAN("localize.fix");
+  const KernelTable<SegmentKernel> table = kernel_table(links, excluded);
+  if (table.norm <= 0.0 || table.usable == 0) return {};
+  const LocationEstimate est =
+      consensus_select(candidates(table), table,
+                       std::min(options_.min_arrays, table.usable));
+  return est.valid ? est : LocationEstimate{};
 }
 
 LocationEstimate Localizer::localize_best_effort(
@@ -690,18 +945,19 @@ LocationEstimate Localizer::localize_best_effort(
   const std::size_t usable = arrays_with_evidence(evidence);
   if (usable == 0 && min_arrays > 0) return {};  // nothing to go on
   // One search serves both the consensus fix and the fallback.
-  const KernelTable table = kernel_table(evidence);
+  const KernelTable<BearingKernel> table = kernel_table(evidence);
   const std::vector<LocationEstimate> found = candidates(table);
   LocationEstimate est{};
   if (usable >= min_arrays) {
+    // Short of consensus, the highest-consensus candidate among the
+    // first kMaxCandidates still answers, if its likelihood is above 0.
     est = consensus_select(found, table, min_arrays);
     if (est.valid || est.likelihood > 0.0) return est;
   }
-  // No consensus candidate: fall back to the raw likelihood maximum of
-  // the SAME search mode the localizer is configured for (a
-  // hill-climbing deployment must not silently answer from an
-  // exhaustive grid), selected by an explicit max scan rather than
-  // trusting the list head.
+  // No such candidate: fall back to the likelihood maximum of the SAME
+  // search mode the localizer is configured for (a hill-climbing
+  // deployment must not silently answer from an exhaustive grid),
+  // selected by an explicit max scan rather than trusting the list head.
   const LocationEstimate top = select_max_likelihood(found);
   if (top.likelihood > 0.0) {
     LocationEstimate best = top;
@@ -712,15 +968,52 @@ LocationEstimate Localizer::localize_best_effort(
   return est;
 }
 
+LocationEstimate Localizer::localize_best_effort(
+    std::span<const RssLink> links,
+    std::span<const std::uint8_t> excluded) const {
+  DWATCH_SPAN("localize.fix");
+  const KernelTable<SegmentKernel> table = kernel_table(links, excluded);
+  if (table.norm <= 0.0) return {};
+  const std::vector<LocationEstimate> found = candidates(table);
+  if (table.usable > 0) {
+    const LocationEstimate est = consensus_select(
+        found, table, std::min(options_.min_arrays, table.usable));
+    if (est.valid) return est;
+  }
+  // Short of consensus: the top peak, whatever its support.
+  if (found.empty()) return {};
+  LocationEstimate top = found.front();
+  top.consensus = consensus_at(top.position, table);
+  return top;
+}
+
 std::vector<LocationEstimate> Localizer::localize_multi(
     std::span<const AngularEvidence> evidence, std::size_t max_targets,
     double min_separation, double relative_floor) const {
-  std::vector<LocationEstimate> out;
   const std::size_t min_arrays = effective_min_arrays(evidence);
   if (max_targets == 0 || arrays_with_evidence(evidence) < min_arrays) {
-    return out;
+    return {};
   }
-  const KernelTable table = kernel_table(evidence);
+  return pick_targets(kernel_table(evidence), min_arrays, max_targets,
+                      min_separation, relative_floor);
+}
+
+std::vector<LocationEstimate> Localizer::localize_multi(
+    std::span<const RssLink> links, std::span<const std::uint8_t> excluded,
+    std::size_t max_targets, double min_separation,
+    double relative_floor) const {
+  const KernelTable<SegmentKernel> table = kernel_table(links, excluded);
+  if (table.norm <= 0.0 || max_targets == 0 || table.usable == 0) return {};
+  return pick_targets(table, std::min(options_.min_arrays, table.usable),
+                      max_targets, min_separation, relative_floor);
+}
+
+template <class Kernel>
+std::vector<LocationEstimate> Localizer::pick_targets(
+    const KernelTable<Kernel>& table, std::size_t min_arrays,
+    std::size_t max_targets, double min_separation,
+    double relative_floor) const {
+  std::vector<LocationEstimate> out;
   std::vector<LocationEstimate> candidates =
       grid_search(table, relative_floor);
   if (candidates.empty()) return out;
@@ -747,6 +1040,12 @@ LikelihoodGrid Localizer::likelihood_grid(
   return likelihood_grid(kernel_table(evidence));
 }
 
+LikelihoodGrid Localizer::likelihood_grid(
+    std::span<const RssLink> links,
+    std::span<const std::uint8_t> excluded) const {
+  return likelihood_grid(kernel_table(links, excluded));
+}
+
 LikelihoodGrid Localizer::grid_shape() const {
   LikelihoodGrid grid;
   grid.origin = bounds_.min;
@@ -760,7 +1059,9 @@ LikelihoodGrid Localizer::grid_shape() const {
   return grid;
 }
 
-LikelihoodGrid Localizer::likelihood_grid(const KernelTable& table) const {
+template <class Kernel>
+LikelihoodGrid Localizer::likelihood_grid(
+    const KernelTable<Kernel>& table) const {
   DWATCH_SPAN("localize.grid");
   LikelihoodGrid grid = grid_shape();
   grid.values.resize(grid.nx * grid.ny);

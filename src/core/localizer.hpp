@@ -8,13 +8,17 @@
 // maximized over a grid (5x5 cm rooms, 2x2 cm table) either by an exact
 // branch-and-bound search, which returns the same local maxima as a scan
 // of every cell, or by the paper's multi-start hill climbing, which may
-// miss some. "Wrong angles" from
-// pre-reflection blockage simply fail to accumulate consensus across
-// readers; an explicit ray-triangulation outlier rejector is provided in
-// triangulate.hpp for the paper's single-target argument.
+// miss some. "Wrong angles" from pre-reflection blockage simply fail to
+// accumulate consensus across readers; an explicit ray-triangulation
+// outlier rejector is provided in triangulate.hpp for the paper's
+// single-target argument. The RSS-only fallback (core/rss.hpp) runs on
+// the same product and the same searches: its evidence is a Gaussian in
+// a point's distance to each attenuated array-tag link instead of in its
+// bearing.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -44,6 +48,23 @@ struct AngularEvidence {
     return !excluded && !drops.empty();
   }
 };
+
+/// One attenuated tag-array link observed during an epoch (RSS-only
+/// evidence, after Wang et al.'s RTI link model): a body on or near the
+/// segment from the array's center to the tag shadows the link.
+struct RssLink {
+  std::size_t array_idx = 0;
+  rf::Vec2 tag_position;
+  /// Fractional power drop vs baseline, in (0, 1].
+  double drop_fraction = 0.0;
+};
+
+/// Smallest drop_fraction that counts as RSS evidence. Every link still
+/// enters the weight normalizer.
+inline constexpr double kRssMinDropFraction = 0.12;
+/// Lateral spread [m] of a link's evidence around its segment: how far
+/// off the tag-array line a body still measurably shadows it.
+inline constexpr double kRssLateralSigmaM = 0.4;
 
 /// Rectangular search region.
 struct SearchBounds {
@@ -106,6 +127,13 @@ struct LikelihoodGrid {
             origin.y + step * static_cast<double>(iy)};
   }
 };
+
+namespace detail {
+// The two evidence kernels (defined in localizer.cpp): a drop's bearing
+// and a link's segment.
+struct BearingKernel;
+struct SegmentKernel;
+}  // namespace detail
 
 /// Likelihood localizer over a fixed set of arrays.
 class Localizer {
@@ -203,9 +231,11 @@ class Localizer {
       std::span<const AngularEvidence> evidence) const;
 
   /// Like localize(), but always returns a positioned estimate when any
-  /// evidence exists at all: if no candidate reaches consensus, the
-  /// highest-likelihood peak is returned with valid == false. This is
-  /// the "always report a fix" mode of the paper's Fig. 14 evaluation;
+  /// evidence exists at all. If no candidate reaches consensus, the
+  /// highest-consensus candidate among the first kMaxCandidates is
+  /// returned with valid == false, provided its likelihood is above 0;
+  /// only otherwise the highest-likelihood peak. This is the "always
+  /// report a fix" mode of the paper's Fig. 14 evaluation;
   /// sparse-evidence environments degrade gracefully instead of
   /// abstaining.
   [[nodiscard]] LocationEstimate localize_best_effort(
@@ -230,16 +260,54 @@ class Localizer {
   [[nodiscard]] std::vector<LocationEstimate> grid_candidates(
       std::span<const AngularEvidence> evidence) const;
 
+  // RSS-only evidence (core/rss.hpp). `links` may hold several links per
+  // array; `excluded[a]` nonzero removes array a from the product, the
+  // normalizer and min_arrays. Each array that is not excluded enters
+  // the product, so a silent one contributes a factor of epsilon.
+  // Consensus counts the arrays whose evidence value (not bare proximity)
+  // clears consensus_floor, min_arrays is min(min_arrays, arrays with a
+  // link of at least kRssMinDropFraction), and no cell is too close to an
+  // array. All throw std::invalid_argument when `excluded` is not one
+  // flag per array or a link's array_idx is out of range.
+
+  /// Best single-target estimate; a default (invalid) estimate when no
+  /// candidate reaches consensus.
+  [[nodiscard]] LocationEstimate localize(
+      std::span<const RssLink> links,
+      std::span<const std::uint8_t> excluded) const;
+  /// Like localize(), but when no candidate reaches consensus, the
+  /// highest-likelihood peak with valid == false.
+  [[nodiscard]] LocationEstimate localize_best_effort(
+      std::span<const RssLink> links,
+      std::span<const std::uint8_t> excluded) const;
+  /// The RSS twin of localize_multi(evidence, ...).
+  [[nodiscard]] std::vector<LocationEstimate> localize_multi(
+      std::span<const RssLink> links, std::span<const std::uint8_t> excluded,
+      std::size_t max_targets, double min_separation = 0.25,
+      double relative_floor = 0.35) const;
+  [[nodiscard]] LikelihoodGrid likelihood_grid(
+      std::span<const RssLink> links,
+      std::span<const std::uint8_t> excluded) const;
+  [[nodiscard]] std::vector<LocationEstimate> grid_candidates(
+      std::span<const RssLink> links,
+      std::span<const std::uint8_t> excluded) const;
+
  private:
   /// The evidence reduced once per search (defined in localizer.cpp):
-  /// per usable array, each drop's bearing, weight and kernel
-  /// reciprocal. Read-only once built, so pooled grid rows share it.
+  /// per array, its kernels (a bearing or a link segment, with weight
+  /// and Gaussian reciprocal). Read-only once built, so pooled grid rows
+  /// share it. The searches below are written once over both kernels.
+  template <class Kernel>
   struct KernelTable;
 
-  [[nodiscard]] KernelTable kernel_table(
+  [[nodiscard]] KernelTable<detail::BearingKernel> kernel_table(
       std::span<const AngularEvidence> evidence) const;
+  [[nodiscard]] KernelTable<detail::SegmentKernel> kernel_table(
+      std::span<const RssLink> links,
+      std::span<const std::uint8_t> excluded) const;
+  template <class Kernel>
   [[nodiscard]] double likelihood_at(rf::Vec2 point,
-                                     const KernelTable& table) const;
+                                     const KernelTable<Kernel>& table) const;
   [[nodiscard]] std::size_t arrays_with_evidence(
       std::span<const AngularEvidence> evidence) const;
   /// min_arrays shrunk to the surviving array count when some arrays
@@ -247,21 +315,35 @@ class Localizer {
   /// options().min_arrays when nothing is excluded.
   [[nodiscard]] std::size_t effective_min_arrays(
       std::span<const AngularEvidence> evidence) const;
-  [[nodiscard]] bool too_close_to_array(rf::Vec2 point) const;
-  /// Number of arrays whose evidence at `point`'s bearing clears the
+  /// Whether `point` lies within `radius` of some array's center.
+  [[nodiscard]] bool too_close_to_array(rf::Vec2 point, double radius) const;
+  /// Number of arrays whose kernels support `point` at or above the
   /// consensus floor.
-  [[nodiscard]] std::size_t consensus_at(rf::Vec2 point,
-                                         const KernelTable& table) const;
+  template <class Kernel>
+  [[nodiscard]] std::size_t consensus_at(
+      rf::Vec2 point, const KernelTable<Kernel>& table) const;
+  template <class Kernel>
   [[nodiscard]] LocationEstimate consensus_select(
-      std::vector<LocationEstimate> candidates, const KernelTable& table,
-      std::size_t min_arrays) const;
+      std::vector<LocationEstimate> candidates,
+      const KernelTable<Kernel>& table, std::size_t min_arrays) const;
   /// The grid's origin, step and size at the current stride (no values).
   [[nodiscard]] LikelihoodGrid grid_shape() const;
-  [[nodiscard]] LikelihoodGrid likelihood_grid(const KernelTable& table) const;
+  template <class Kernel>
+  [[nodiscard]] LikelihoodGrid likelihood_grid(
+      const KernelTable<Kernel>& table) const;
   /// Likelihood peaks from the configured search mode (grid or hill
   /// climbing), sorted by candidate_order().
+  template <class Kernel>
   [[nodiscard]] std::vector<LocationEstimate> candidates(
-      const KernelTable& table) const;
+      const KernelTable<Kernel>& table) const;
+  /// Up to `max_targets` valid maxima of the grid search at or above
+  /// relative_floor of the best, min_separation apart; a maximum short
+  /// of min_arrays consensus takes no slot.
+  template <class Kernel>
+  [[nodiscard]] std::vector<LocationEstimate> pick_targets(
+      const KernelTable<Kernel>& table, std::size_t min_arrays,
+      std::size_t max_targets, double min_separation,
+      double relative_floor) const;
   /// Exact branch-and-bound over blocks of grid cells, best bound first:
   /// every local maximum of the likelihood grid at or above a threshold
   /// T, with the value the full grid would hold. T is the
@@ -271,13 +353,15 @@ class Localizer {
   /// the list is sorted by candidate_order() — strictly ranked even
   /// through likelihood ties, so downstream caps and front() reads are
   /// deterministic.
+  template <class Kernel>
   [[nodiscard]] std::vector<LocationEstimate> grid_search(
-      const KernelTable& table,
+      const KernelTable<Kernel>& table,
       std::optional<double> relative_floor = std::nullopt) const;
   /// Multi-start ascent candidates; same candidate_order() contract as
   /// grid_search().
+  template <class Kernel>
   [[nodiscard]] std::vector<LocationEstimate> hill_climb_candidates(
-      const KernelTable& table) const;
+      const KernelTable<Kernel>& table) const;
 
   std::vector<rf::UniformLinearArray> arrays_;
   SearchBounds bounds_;

@@ -75,15 +75,6 @@ constexpr double kStablePositionM = 0.05;
 /// ... and its likelihood changed by at most this relative amount.
 constexpr double kStableLikelihood = 0.02;
 
-/// Plan-view array centers for the RSS localizer.
-std::vector<rf::Vec2> array_centers_xy(
-    const std::vector<rf::UniformLinearArray>& arrays) {
-  std::vector<rf::Vec2> centers;
-  centers.reserve(arrays.size());
-  for (const auto& array : arrays) centers.push_back(array.center().xy());
-  return centers;
-}
-
 /// Mean per-sample power of a snapshot matrix (the RSS observable).
 double mean_power(const linalg::CMatrix& x) {
   if (x.rows() == 0 || x.cols() == 0) return 0.0;
@@ -157,8 +148,6 @@ DWatchPipeline::DWatchPipeline(std::vector<rf::UniformLinearArray> arrays,
     : arrays_(std::move(arrays)),
       options_(options),
       localizer_(arrays_, bounds, options.localizer),
-      rss_localizer_(array_centers_xy(arrays_), bounds,
-                     options.localizer.grid_step, options.rss_only),
       detector_(options.change),
       calibration_(arrays_.size()),
       phasors_(arrays_.size()),
@@ -197,7 +186,6 @@ void DWatchPipeline::set_brownout(const BrownoutProfile& profile) {
   brownout_ = profile;
   if (brownout_.grid_stride < 1) brownout_.grid_stride = 1;
   localizer_.set_grid_stride(brownout_.grid_stride);
-  rss_localizer_.set_grid_stride(brownout_.grid_stride);
   // Effective rank: 0 in the profile keeps the configured rank; both
   // set -> the smaller (coarser, cheaper) one wins. Clearing the
   // profile therefore restores the configured value exactly.
@@ -493,16 +481,11 @@ void DWatchPipeline::check_convergence() {
   ++streaming_stats_.convergence_checks;
   // The stability probe runs on a COARSE grid (see
   // kConvergenceGridStride) in either mode: only the seal-time fix needs
-  // full resolution. Never undercut an active brownout stride, which
-  // set_brownout gives both localizers alike.
+  // full resolution. Never undercut an active brownout stride.
   const std::size_t prev_stride = localizer_.grid_stride();
-  const std::size_t probe_stride =
-      std::max(prev_stride, kConvergenceGridStride);
-  localizer_.set_grid_stride(probe_stride);
-  rss_localizer_.set_grid_stride(probe_stride);
+  localizer_.set_grid_stride(std::max(prev_stride, kConvergenceGridStride));
   const LocationEstimate est = best_effort_fix(/*log_ghosts=*/false);
   localizer_.set_grid_stride(prev_stride);
-  rss_localizer_.set_grid_stride(prev_stride);
   if (!est.valid) {
     stable_checks_ = 0;
     last_estimate_ = est;
@@ -690,7 +673,7 @@ std::vector<AngularEvidence> DWatchPipeline::filter_ghosts(
 
 LocationEstimate DWatchPipeline::localize() const {
   if (rss_active()) {
-    return rss_localizer_.localize(epoch_.rss_links, excluded_flags());
+    return localizer_.localize(epoch_.rss_links, excluded_flags());
   }
   return localizer_.localize(filtered_evidence());
 }
@@ -756,8 +739,8 @@ LocationEstimate DWatchPipeline::localize_best_effort() const {
 
 LocationEstimate DWatchPipeline::best_effort_fix(bool log_ghosts) const {
   if (rss_active()) {
-    return rss_localizer_.localize_best_effort(epoch_.rss_links,
-                                               excluded_flags());
+    return localizer_.localize_best_effort(epoch_.rss_links,
+                                           excluded_flags());
   }
   return localizer_.localize_best_effort(filter_ghosts(log_ghosts));
 }
@@ -766,9 +749,9 @@ std::vector<LocationEstimate> DWatchPipeline::localize_multi(
     std::size_t max_targets, double min_separation,
     double relative_floor) const {
   if (rss_active()) {
-    return rss_localizer_.localize_multi(epoch_.rss_links, excluded_flags(),
-                                         max_targets, min_separation,
-                                         relative_floor);
+    return localizer_.localize_multi(epoch_.rss_links, excluded_flags(),
+                                     max_targets, min_separation,
+                                     relative_floor);
   }
   return localizer_.localize_multi(filtered_evidence(), max_targets,
                                    min_separation, relative_floor);
@@ -784,8 +767,7 @@ TriangulationResult DWatchPipeline::triangulate(double cluster_radius) const {
 
 LikelihoodGrid DWatchPipeline::likelihood_grid() const {
   if (rss_active()) {
-    return rss_localizer_.likelihood_grid(epoch_.rss_links,
-                                          excluded_flags());
+    return localizer_.likelihood_grid(epoch_.rss_links, excluded_flags());
   }
   return localizer_.likelihood_grid(filtered_evidence());
 }

@@ -486,8 +486,8 @@ class DWatchPipeline {
 
   std::vector<rf::UniformLinearArray> arrays_;
   PipelineOptions options_;
+  /// Localizes from phase evidence or, in RSS mode, from RSS links.
   Localizer localizer_;
-  RssLocalizer rss_localizer_;
   SpectrumChangeDetector detector_;
   /// One estimator per array, built once (estimators are immutable and
   /// shared by all workers).

@@ -307,8 +307,9 @@ struct Search {
     return select(candidates(ev), ev, need);
   }
 
-  /// localize_best_effort(): the consensus fix, else the highest peak
-  /// with valid == false.
+  /// localize_best_effort(): the consensus fix; else, with valid ==
+  /// false, the highest-consensus candidate among the first
+  /// kMaxCandidates if its likelihood is above 0, else the highest peak.
   [[nodiscard]] LocationEstimate localize_best_effort(
       std::span<const AngularEvidence> ev) const {
     const std::size_t need = min_arrays(ev);

@@ -3,8 +3,9 @@
 // still be byte-equal to the serial oracle at every stride. The
 // branch-and-bound search never touches the pool and keeps all its state
 // inside one call, so searches on one shared localizer from several
-// threads must match the oracle too. Labelled tsan, so the
-// ThreadSanitizer tree races both.
+// threads must match the oracle too. RSS heatmaps share the same pooled
+// rows. Labelled stress-tsan, so the ThreadSanitizer tree races them and
+// the AddressSanitizer tree checks their buffers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "localizer_oracle.hpp"
+#include "rss_oracle.hpp"
 #include "core/thread_pool.hpp"
 
 namespace dwatch::core {
@@ -23,6 +25,22 @@ TEST(LocalizerOraclePool, GridIsByteEqualToOracle) {
     oracle::expect_same_grid(
         oracle::localizer_for(s, pool).likelihood_grid(ev), s.grid(ev));
   });
+}
+
+TEST(LocalizerOraclePool, RssGridIsByteEqualToOracle) {
+  // RSS heatmaps take the same pooled rows over the link kernel table.
+  const auto pool = std::make_shared<ThreadPool>(4);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const rss_oracle::Case c = rss_oracle::random_case(seed);
+    rss_oracle::for_each_stride(c, [&](const rss_oracle::Search& s,
+                                       const rss_oracle::Case& cc) {
+      oracle::expect_same_grid(
+          rss_oracle::localizer_for(s, pool).likelihood_grid(cc.links,
+                                                             cc.excluded),
+          s.grid(cc.links, cc.excluded));
+    });
+  }
 }
 
 TEST(LocalizerOraclePool, GridSearchMatchesOracle) {

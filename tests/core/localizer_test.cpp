@@ -155,6 +155,40 @@ TEST(Localizer, BestEffortFallsBackWithoutConsensus) {
   EXPECT_NEAR(rf::distance(be.position, target), 0.0, 0.3);
 }
 
+TEST(Localizer, BestEffortPrefersConsensusOverTheTopPeak) {
+  // Short of consensus, best effort answers with the highest-consensus
+  // candidate among the first kMaxCandidates (its likelihood being above
+  // 0), not with the likelihood maximum. Arrays 0 and 1 cross strong
+  // drops at `top` (consensus 2); arrays 0, 1 and 2 cross weak ones at
+  // `agreed` (consensus 3). No candidate reaches 4.
+  LocalizerOptions opts;
+  opts.min_arrays = 4;
+  const Localizer loc = default_localizer(opts);
+  const auto arrays = room_arrays();
+  const rf::Vec2 top{5.0, 7.0};
+  const rf::Vec2 agreed{2.0, 3.0};
+  std::vector<AngularEvidence> ev(arrays.size());
+  for (std::size_t i = 0; i < 2; ++i) {
+    ev[i].drops.push_back(drop_at(arrays[i].arrival_angle_planar(top), 1.0));
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    ev[i].drops.push_back(
+        drop_at(arrays[i].arrival_angle_planar(agreed), 0.3));
+  }
+  ev[3].drops.push_back(drop_at(arrays[3].arrival_angle_planar({6.0, 1.0}),
+                                0.3));
+  EXPECT_FALSE(loc.localize(ev).valid);
+  const std::vector<LocationEstimate> found = loc.grid_candidates(ev);
+  ASSERT_FALSE(found.empty());
+  EXPECT_NEAR(rf::distance(found.front().position, top), 0.0, 0.2);
+  const LocationEstimate be = loc.localize_best_effort(ev);
+  EXPECT_FALSE(be.valid);
+  EXPECT_EQ(be.consensus, 3u);
+  EXPECT_NEAR(rf::distance(be.position, agreed), 0.0, 0.2);
+  EXPECT_GT(be.likelihood, 0.0);
+  EXPECT_LT(be.likelihood, found.front().likelihood);
+}
+
 TEST(Localizer, HillClimbingMatchesExhaustive) {
   LocalizerOptions grid_opts;
   LocalizerOptions hill_opts;

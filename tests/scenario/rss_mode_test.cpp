@@ -1,6 +1,6 @@
 // RSS-only degraded mode through the scenario engine: the phase-health
 // gate, the forced path, and the unit behaviour of phase_coherence and
-// the RTI-style RssLocalizer the fallback is built from.
+// the RTI-style link evidence the Localizer runs the fallback on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,8 +9,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/localizer.hpp"
 #include "core/rss.hpp"
 #include "linalg/complex_matrix.hpp"
+#include "rf/array.hpp"
 #include "rf/noise.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
@@ -52,7 +54,20 @@ TEST(PhaseCoherenceTest, SingleElementIsTriviallyCoherent) {
   EXPECT_DOUBLE_EQ(core::phase_coherence(coherent_snapshots(1, 16)), 1.0);
 }
 
-// -------------------------------------------------------- RssLocalizer
+// ------------------------------------------- Localizer on RSS links
+
+/// Localizer over arrays centered at `centers` on a 0.25 m grid (RSS
+/// evidence reads only the centers).
+core::Localizer rss_localizer(const std::vector<rf::Vec2>& centers,
+                              core::SearchBounds bounds,
+                              core::LocalizerOptions options = {}) {
+  std::vector<rf::UniformLinearArray> arrays;
+  for (const rf::Vec2& c : centers) {
+    arrays.emplace_back(rf::Vec3{c.x, c.y, 1.25}, rf::Vec2{1.0, 0.0}, 8);
+  }
+  options.grid_step = 0.25;
+  return core::Localizer(std::move(arrays), bounds, options);
+}
 
 TEST(RssLocalizerTest, TwoCrossingShadowedLinksPinTheBody) {
   // Array 0 at (0,5) hears tag (10,5); array 1 at (5,0) hears tag
@@ -60,7 +75,7 @@ TEST(RssLocalizerTest, TwoCrossingShadowedLinksPinTheBody) {
   // drop and the evidence product peaks at the crossing.
   const std::vector<rf::Vec2> centers{{0.0, 5.0}, {5.0, 0.0}};
   const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
-  core::RssLocalizer localizer(centers, bounds, 0.25);
+  const core::Localizer localizer = rss_localizer(centers, bounds);
   const std::vector<core::RssLink> links{
       {0, {10.0, 5.0}, 0.5},
       {1, {5.0, 10.0}, 0.5},
@@ -72,6 +87,25 @@ TEST(RssLocalizerTest, TwoCrossingShadowedLinksPinTheBody) {
   EXPECT_NEAR(estimate.position.y, 5.0, 0.5);
 }
 
+TEST(RssLocalizerTest, HillClimbingModeAppliesToLinks) {
+  // One localizer, one search mode for both evidence kinds: with hill
+  // climbing configured, RSS fixes climb too and land on the crossing.
+  const std::vector<rf::Vec2> centers{{0.0, 5.0}, {5.0, 0.0}};
+  const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
+  core::LocalizerOptions options;
+  options.hill_climbing = true;
+  const core::Localizer localizer = rss_localizer(centers, bounds, options);
+  const std::vector<core::RssLink> links{
+      {0, {10.0, 5.0}, 0.5},
+      {1, {5.0, 10.0}, 0.5},
+  };
+  const std::vector<std::uint8_t> excluded(centers.size(), 0);
+  const core::LocationEstimate climbed = localizer.localize(links, excluded);
+  ASSERT_TRUE(climbed.valid);
+  EXPECT_NEAR(climbed.position.x, 5.0, 0.25);
+  EXPECT_NEAR(climbed.position.y, 5.0, 0.25);
+}
+
 TEST(RssLocalizerTest, ExcludedArrayDoesNotRescaleHealthyWeights) {
   // Two healthy crossing links at 0.2 plus a third array that is
   // excluded. Its strong 1.0 link must not enter the weight normalizer:
@@ -79,7 +113,7 @@ TEST(RssLocalizerTest, ExcludedArrayDoesNotRescaleHealthyWeights) {
   // the consensus floor and the fix would vanish.
   const std::vector<rf::Vec2> centers{{0.0, 5.0}, {5.0, 0.0}, {10.0, 0.0}};
   const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
-  const core::RssLocalizer localizer(centers, bounds, 0.25);
+  const core::Localizer localizer = rss_localizer(centers, bounds);
   const std::vector<std::uint8_t> excluded{0, 0, 1};
   std::vector<core::RssLink> links{
       {0, {10.0, 5.0}, 0.2},
@@ -99,6 +133,38 @@ TEST(RssLocalizerTest, ExcludedArrayDoesNotRescaleHealthyWeights) {
   EXPECT_EQ(with_dead.likelihood, healthy.likelihood);
 }
 
+TEST(RssLocalizerTest, StrayLinkOrFlagCountThrows) {
+  // A link naming an array the localizer does not have would enter the
+  // weight normalizer (rescaling every healthy weight) while no array
+  // reads it, so every entry point refuses it; so too an excluded-flag
+  // span that is not one flag per array.
+  const std::vector<rf::Vec2> centers{{0.0, 5.0}, {5.0, 0.0}};
+  const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
+  const core::Localizer localizer = rss_localizer(centers, bounds);
+  const std::vector<core::RssLink> stray{
+      {0, {10.0, 5.0}, 0.2},
+      {1, {5.0, 10.0}, 0.2},
+      {2, {0.0, 10.0}, 1.0},
+  };
+  const std::vector<std::uint8_t> healthy(centers.size(), 0);
+  EXPECT_THROW((void)localizer.localize(stray, healthy),
+               std::invalid_argument);
+  EXPECT_THROW((void)localizer.localize_best_effort(stray, healthy),
+               std::invalid_argument);
+  EXPECT_THROW((void)localizer.localize_multi(stray, healthy, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)localizer.likelihood_grid(stray, healthy),
+               std::invalid_argument);
+  const std::vector<core::RssLink> links(stray.begin(), stray.begin() + 2);
+  const std::vector<std::uint8_t> short_flags{0};
+  const std::vector<std::uint8_t> long_flags{0, 0, 1};
+  EXPECT_THROW((void)localizer.localize(links, short_flags),
+               std::invalid_argument);
+  EXPECT_THROW((void)localizer.localize(links, long_flags),
+               std::invalid_argument);
+  EXPECT_TRUE(localizer.localize(links, healthy).valid);
+}
+
 TEST(RssLocalizerTest, MultiSkipsMaximaShortOfConsensus) {
   // Array 0 has a strong link along y = 5 that no other array sees, and
   // a weak link that crosses array 1's weak link near (7.27, 1.36). The
@@ -107,9 +173,9 @@ TEST(RssLocalizerTest, MultiSkipsMaximaShortOfConsensus) {
   // and the crossing (both arrays) is the one target reported.
   const std::vector<rf::Vec2> centers{{0.0, 5.0}, {5.0, 0.0}};
   const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
-  core::RssOnlyOptions options;
+  core::LocalizerOptions options;
   options.consensus_floor = 0.15;
-  const core::RssLocalizer localizer(centers, bounds, 0.25, options);
+  const core::Localizer localizer = rss_localizer(centers, bounds, options);
   const std::vector<core::RssLink> links{
       {0, {10.0, 5.0}, 1.0},
       {0, {10.0, 0.0}, 0.2},
@@ -126,9 +192,8 @@ TEST(RssLocalizerTest, MultiSkipsMaximaShortOfConsensus) {
 
 TEST(RssLocalizerTest, ThrowsOnEmptyCentersOrDegenerateBounds) {
   const core::SearchBounds bounds{{0.0, 0.0}, {10.0, 10.0}};
-  EXPECT_THROW(core::RssLocalizer({}, bounds, 0.25), std::invalid_argument);
-  EXPECT_THROW(core::RssLocalizer({{1.0, 1.0}}, {{5.0, 5.0}, {5.0, 5.0}},
-                                  0.25),
+  EXPECT_THROW((void)rss_localizer({}, bounds), std::invalid_argument);
+  EXPECT_THROW((void)rss_localizer({{1.0, 1.0}}, {{5.0, 5.0}, {5.0, 5.0}}),
                std::invalid_argument);
 }
 
