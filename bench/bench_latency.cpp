@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "rf/constants.hpp"
 #include "rfid/gen2.hpp"
 #include "rfid/llrp.hpp"
 
@@ -199,6 +200,54 @@ void BM_LlrpEncodeDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(total));
 }
 BENCHMARK(BM_LlrpEncodeDecode);
+
+/// One RO_ACCESS_REPORT decode at the two perfbench shapes. Arg 0 is a
+/// rooms report: every tag of one library array (M = 8). Arg 1 is a
+/// fleet report: one tag of a 4-element array, 8 rounds (32 samples).
+void BM_DecodeReport(benchmark::State& state) {
+  rfid::RoAccessReport report;
+  report.message_id = 1;
+  rf::Rng rng(15);
+  if (state.range(0) == 0) {
+    const sim::Scene& scene = shared_scene();
+    for (std::size_t t = 0; t < scene.num_tags(); ++t) {
+      report.observations.push_back(scene.capture_observation(0, t, {}, rng));
+    }
+  } else {
+    rfid::TagObservation obs;
+    obs.epc = rfid::Epc96::for_tag_index(1);
+    for (std::uint32_t n = 0; n < 8; ++n) {
+      for (std::uint16_t m = 1; m <= 4; ++m) {
+        const auto [pq, rq] = rfid::quantize_sample(
+            std::polar(0.01, rng.uniform(0.0, rf::kTwoPi)));
+        obs.samples.push_back(rfid::PhaseSample{m, n, pq, rq});
+      }
+    }
+    report.observations.push_back(std::move(obs));
+  }
+  const auto bytes = encode(report);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rfid::decode_ro_access_report(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_DecodeReport)->Arg(0)->Arg(1);
+
+/// The snapshot fill with dequantization: one library tag's wire
+/// observation to its M x N matrix.
+void BM_ObservationToSnapshots(benchmark::State& state) {
+  const sim::Scene& scene = shared_scene();
+  rf::Rng rng(9);
+  std::size_t t = 0;
+  while (!scene.tag_readable(0, t)) ++t;
+  const rfid::TagObservation obs = scene.capture_observation(0, t, {}, rng);
+  const std::size_t m = scene.deployment().arrays[0].num_elements();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::observation_to_snapshots(obs, m));
+  }
+}
+BENCHMARK(BM_ObservationToSnapshots);
 
 /// Full fixes with the observability layer switched ON. Two jobs in
 /// one: the wall-clock time is the instrumented-path overhead (compare

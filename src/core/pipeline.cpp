@@ -89,57 +89,64 @@ double mean_power(const linalg::CMatrix& x) {
 
 }  // namespace
 
-linalg::CMatrix observation_to_snapshots(const rfid::TagObservation& obs,
-                                         std::size_t num_elements) {
+void SnapshotAssembler::fill(std::span<const rfid::PhaseSample> samples,
+                             std::size_t num_elements, linalg::CMatrix& out) {
   if (num_elements == 0) {
     throw std::invalid_argument("observation_to_snapshots: M == 0");
   }
-  const std::vector<rfid::PhaseSample>& samples = obs.samples;
   // The distinct rounds, ascending: the column order of the complete
   // ones. Readers emit a round's samples together, so skipping repeats
   // of the previous round leaves little to sort.
-  std::vector<std::uint32_t> rounds;
+  rounds_.clear();
   for (const rfid::PhaseSample& s : samples) {
     if (s.element_id == 0 || s.element_id > num_elements) {
       throw std::invalid_argument(
           "observation_to_snapshots: element id out of range");
     }
-    if (rounds.empty() || rounds.back() != s.round) rounds.push_back(s.round);
+    if (rounds_.empty() || rounds_.back() != s.round) {
+      rounds_.push_back(s.round);
+    }
   }
-  std::sort(rounds.begin(), rounds.end());
-  rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
+  std::sort(rounds_.begin(), rounds_.end());
+  rounds_.erase(std::unique(rounds_.begin(), rounds_.end()), rounds_.end());
   // slot[r * M + m] = the last sample of (round r, element m); a round
   // is complete when all M of its slots are filled.
   constexpr std::size_t kNoSample = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> slot(rounds.size() * num_elements, kNoSample);
-  std::vector<std::size_t> filled(rounds.size(), 0);
+  slot_.assign(rounds_.size() * num_elements, kNoSample);
+  filled_.assign(rounds_.size(), 0);
   std::size_t r = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (rounds[r] != samples[i].round) {
+    if (rounds_[r] != samples[i].round) {
       r = static_cast<std::size_t>(
-          std::lower_bound(rounds.begin(), rounds.end(), samples[i].round) -
-          rounds.begin());
+          std::lower_bound(rounds_.begin(), rounds_.end(), samples[i].round) -
+          rounds_.begin());
     }
-    std::size_t& at = slot[r * num_elements + samples[i].element_id - 1];
-    if (at == kNoSample) ++filled[r];
+    std::size_t& at = slot_[r * num_elements + samples[i].element_id - 1];
+    if (at == kNoSample) ++filled_[r];
     at = i;
   }
   const auto complete = static_cast<std::size_t>(
-      std::count(filled.begin(), filled.end(), num_elements));
+      std::count(filled_.begin(), filled_.end(), num_elements));
   if (complete == 0) {
     throw std::invalid_argument(
         "observation_to_snapshots: no complete round");
   }
   // Dequantize only the samples that land in the matrix.
-  linalg::CMatrix x(num_elements, complete);
+  out.resize(num_elements, complete);
   std::size_t n = 0;
-  for (r = 0; r < rounds.size(); ++r) {
-    if (filled[r] != num_elements) continue;
+  for (r = 0; r < rounds_.size(); ++r) {
+    if (filled_[r] != num_elements) continue;
     for (std::size_t m = 0; m < num_elements; ++m) {
-      x(m, n) = samples[slot[r * num_elements + m]].as_complex();
+      out(m, n) = samples[slot_[r * num_elements + m]].as_complex();
     }
     ++n;
   }
+}
+
+linalg::CMatrix observation_to_snapshots(const rfid::TagObservation& obs,
+                                         std::size_t num_elements) {
+  linalg::CMatrix x;
+  SnapshotAssembler().fill(obs.samples, num_elements, x);
   return x;
 }
 
@@ -341,14 +348,16 @@ void DWatchPipeline::restore(const PipelineState& state) {
   converged_ = false;
 }
 
-linalg::CMatrix DWatchPipeline::calibrated(
-    std::size_t array_idx, const linalg::CMatrix& snapshots) const {
+const linalg::CMatrix& DWatchPipeline::calibrated(
+    std::size_t array_idx, const linalg::CMatrix& snapshots) {
   if (snapshots.rows() != arrays_[array_idx].num_elements()) {
     throw std::invalid_argument("DWatchPipeline: snapshot row mismatch");
   }
-  linalg::CMatrix x = snapshots;
-  if (calibration_[array_idx]) apply_phase_correction(x, phasors_[array_idx]);
-  return x;
+  calibrated_ = snapshots;  // reuses calibrated_'s storage
+  if (calibration_[array_idx]) {
+    apply_phase_correction(calibrated_, phasors_[array_idx]);
+  }
+  return calibrated_;
 }
 
 void DWatchPipeline::add_baseline(std::size_t array_idx,
@@ -531,7 +540,7 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   if (streaming && converged_) {
     ++streaming_stats_.post_convergence_observations;
   }
-  const linalg::CMatrix x = calibrated(array_idx, snapshots);
+  const linalg::CMatrix& x = calibrated(array_idx, snapshots);
   Detection found;
   if (streaming) {
     DWATCH_SPAN("pipeline.streaming_observe");
@@ -573,7 +582,7 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
 }
 
 std::size_t DWatchPipeline::observe(std::size_t array_idx,
-                                    const rfid::TagObservation& obs) {
+                                    const rfid::ObservationView& obs) {
   check_array(array_idx);
   // Staleness gate: a retransmission of a pre-epoch observation must
   // not pollute this epoch's evidence (quarantined, counted, no abort).
@@ -593,10 +602,8 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
   // Track the frontier of accepted timestamps: begin_epoch(0) carries
   // it forward as the next epoch's default watermark.
   if (obs.first_seen_us > max_seen_us_) max_seen_us_ = obs.first_seen_us;
-  linalg::CMatrix snapshots;
   try {
-    snapshots =
-        observation_to_snapshots(obs, arrays_[array_idx].num_elements());
+    assembler_.fill(obs.samples, arrays_[array_idx].num_elements(), raw_);
   } catch (const std::invalid_argument&) {
     // No complete inventory round survived (dead element, sample loss):
     // quarantine the observation instead of aborting the epoch.
@@ -610,7 +617,7 @@ std::size_t DWatchPipeline::observe(std::size_t array_idx,
     }
     return 0;
   }
-  return observe(array_idx, obs.epc, snapshots);
+  return observe(array_idx, obs.epc, raw_);
 }
 
 std::vector<AngularEvidence> DWatchPipeline::filtered_evidence() const {

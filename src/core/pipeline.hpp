@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -230,6 +231,25 @@ struct ConfidentEstimate {
   ConfidenceReport confidence;
 };
 
+/// The snapshot fill: an M x N matrix from one observation's samples,
+/// one column per complete inventory round in ascending round order,
+/// the last sample winning when an (element, round) repeats. Its round
+/// index, slot table and per-round fill counts are kept across calls,
+/// so a steady stream of observations allocates nothing.
+class SnapshotAssembler {
+ public:
+  /// Reshape `out` to M x (complete rounds) and fill it. Throws
+  /// std::invalid_argument if no complete round exists or an element id
+  /// is 0 or exceeds M.
+  void fill(std::span<const rfid::PhaseSample> samples,
+            std::size_t num_elements, linalg::CMatrix& out);
+
+ private:
+  std::vector<std::uint32_t> rounds_;
+  std::vector<std::size_t> slot_;
+  std::vector<std::size_t> filled_;
+};
+
 /// Reconstruct an M x N snapshot matrix from a wire observation. Rounds
 /// with missing elements are dropped; throws std::invalid_argument if no
 /// complete round exists or an element id exceeds M.
@@ -339,7 +359,14 @@ class DWatchPipeline {
   std::size_t observe(std::size_t array_idx, const rfid::Epc96& epc,
                       const linalg::CMatrix& snapshots);
 
-  std::size_t observe(std::size_t array_idx, const rfid::TagObservation& obs);
+  /// Step 3 from a wire observation: staleness gate, snapshot fill
+  /// (malformed observations are quarantined and counted), then the
+  /// matrix overload. The fill and its calibrated copy reuse pipeline
+  /// buffers, so a zone's epochs must not run concurrently.
+  std::size_t observe(std::size_t array_idx, const rfid::ObservationView& obs);
+  std::size_t observe(std::size_t array_idx, const rfid::TagObservation& obs) {
+    return observe(array_idx, obs.view());
+  }
 
   /// Streaming mode only: true once this epoch's likelihood grid has
   /// converged (stable best-effort argmax + bounded likelihood delta
@@ -436,9 +463,10 @@ class DWatchPipeline {
 
   /// Row check, copy and phase calibration of one snapshot matrix: the
   /// one pre-processing step (workflow step 2) shared by baselines and
-  /// online observations.
-  [[nodiscard]] linalg::CMatrix calibrated(
-      std::size_t array_idx, const linalg::CMatrix& snapshots) const;
+  /// online observations. The result lives in calibrated_ until the
+  /// next call.
+  [[nodiscard]] const linalg::CMatrix& calibrated(
+      std::size_t array_idx, const linalg::CMatrix& snapshots);
   /// A stored reference spectrum with its detection windows, derived
   /// from it when it is stored (never checkpointed: export_state()
   /// carries only the spectrum and restore() derives the windows again).
@@ -527,6 +555,11 @@ class DWatchPipeline {
   LocationEstimate last_estimate_;
   std::size_t stable_checks_ = 0;
   bool converged_ = false;
+  /// Observation scratch, reused across calls: the snapshot fill's
+  /// buffers, the filled matrix and its calibrated copy.
+  SnapshotAssembler assembler_;
+  linalg::CMatrix raw_;
+  linalg::CMatrix calibrated_;
   /// Max of every begun epoch's watermark and every accepted
   /// first_seen_us; carried into the next epoch as the default
   /// watermark when begin_epoch(0) is called with staleness rejection

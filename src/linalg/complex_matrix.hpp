@@ -60,6 +60,14 @@ class CMatrix {
     return data_[r * cols_ + c];
   }
 
+  /// Reshape to rows x cols, reusing the storage when it is large
+  /// enough. The entries are left unspecified: overwrite every one.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   /// Bounds-checked element access; throws std::out_of_range.
   [[nodiscard]] Complex& at(std::size_t r, std::size_t c);
   [[nodiscard]] const Complex& at(std::size_t r, std::size_t c) const;

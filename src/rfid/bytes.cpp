@@ -20,53 +20,9 @@ void ByteWriter::patch_u16(std::size_t offset, std::uint16_t v) {
   buf_[offset + 1] = static_cast<std::uint8_t>(v);
 }
 
-void ByteReader::require(std::size_t n) const {
-  if (remaining() < n) {
-    throw DecodeError("ByteReader: truncated input (need " +
-                      std::to_string(n) + " bytes, have " +
-                      std::to_string(remaining()) + ")");
-  }
-}
-
-std::uint8_t ByteReader::u8() {
-  require(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  require(2);
-  const std::uint16_t v =
-      static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  require(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  require(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + i];
-  pos_ += 8;
-  return v;
-}
-
-std::span<const std::uint8_t> ByteReader::bytes(std::size_t n) {
-  require(n);
-  auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
-}
-
-void ByteReader::skip(std::size_t n) {
-  require(n);
-  pos_ += n;
+void ByteReader::truncated(std::size_t n) const {
+  throw DecodeError("ByteReader: truncated input (need " + std::to_string(n) +
+                    " bytes, have " + std::to_string(remaining()) + ")");
 }
 
 }  // namespace dwatch::rfid

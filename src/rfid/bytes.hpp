@@ -66,20 +66,54 @@ class ByteReader {
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }
 
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] std::uint8_t u8() {
+    require(1);
+    return data_[pos_++];
+  }
+  [[nodiscard]] std::uint16_t u16() {
+    require(2);
+    const auto v =
+        static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
+    pos_ += 2;
+    return v;
+  }
+  [[nodiscard]] std::uint32_t u32() {
+    require(4);
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + i];
+    pos_ += 4;
+    return v;
+  }
+  [[nodiscard]] std::uint64_t u64() {
+    require(8);
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + i];
+    pos_ += 8;
+    return v;
+  }
   [[nodiscard]] std::int16_t i16() { return static_cast<std::int16_t>(u16()); }
 
   /// Read exactly n bytes; throws DecodeError if fewer remain.
-  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n);
+  [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
+    require(n);
+    const auto out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
 
   /// Skip n bytes; throws DecodeError if fewer remain.
-  void skip(std::size_t n);
+  void skip(std::size_t n) {
+    require(n);
+    pos_ += n;
+  }
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    if (remaining() < n) [[unlikely]] truncated(n);
+  }
+  /// Throws the DecodeError for a read of n bytes past the end.
+  [[noreturn]] void truncated(std::size_t n) const;
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

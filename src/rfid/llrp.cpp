@@ -1,6 +1,8 @@
 #include "rfid/llrp.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -87,9 +89,54 @@ std::pair<std::uint16_t, std::int16_t> quantize_sample(
   return {quantize_phase(std::arg(x)), quantize_rssi(std::abs(x))};
 }
 
+namespace {
+
+/// A process-wide table of doubles filled on first use, one slot per
+/// code. A slot holds the complement of the value's bits, so the
+/// zero-initialized static storage reads as "not filled yet": no value
+/// stored here has all 64 bits set (that pattern is a NaN). Each slot
+/// is read and written with one relaxed atomic access; a thread that
+/// finds it empty computes the value itself, and every thread computes
+/// the same bits. Only the pages of codes actually seen become
+/// resident.
+template <std::size_t N>
+class LazyTable {
+ public:
+  template <typename Compute>
+  [[nodiscard]] double get(std::size_t i, Compute compute) noexcept {
+    std::uint64_t v = slots_[i].load(std::memory_order_relaxed);
+    if (v == 0) [[unlikely]] {
+      v = ~std::bit_cast<std::uint64_t>(compute());
+      slots_[i].store(v, std::memory_order_relaxed);
+    }
+    return std::bit_cast<double>(~v);
+  }
+
+ private:
+  std::atomic<std::uint64_t> slots_[N];
+};
+
+/// cos and sin of dequantize_phase(q) at slots 2q and 2q + 1 (1 MiB).
+constinit LazyTable<2 * 65536> g_phase_table;
+/// dequantize_rssi(c) at slot c - INT16_MIN (512 KiB).
+constinit LazyTable<65536> g_rssi_table;
+
+}  // namespace
+
 linalg::Complex dequantize_sample(std::uint16_t phase_q,
                                   std::int16_t rssi_q) noexcept {
-  return std::polar(dequantize_rssi(rssi_q), dequantize_phase(phase_q));
+  // Exactly std::polar(dequantize_rssi(rssi_q), dequantize_phase(phase_q)),
+  // which libstdc++ computes as {rho * cos(theta), rho * sin(theta)}: the
+  // tables hold those three factors, so every sample is bit-identical.
+  const std::size_t p = 2 * std::size_t{phase_q};
+  const double cos_theta = g_phase_table.get(
+      p, [phase_q] { return std::cos(dequantize_phase(phase_q)); });
+  const double sin_theta = g_phase_table.get(
+      p + 1, [phase_q] { return std::sin(dequantize_phase(phase_q)); });
+  const double rho = g_rssi_table.get(
+      static_cast<std::size_t>(rssi_q - std::numeric_limits<std::int16_t>::min()),
+      [rssi_q] { return dequantize_rssi(rssi_q); });
+  return {rho * cos_theta, rho * sin_theta};
 }
 
 std::vector<std::uint8_t> encode(const RoAccessReport& msg) {
@@ -163,8 +210,29 @@ std::optional<MessageHeader> peek_header(
 
 namespace {
 
+/// How many parameters of `type` the TLV sequence `body` holds, read
+/// from the headers alone so a decode can reserve exactly. Stops at the
+/// first malformed header without throwing: the decode that follows
+/// reports it with the usual error.
+std::size_t count_params(std::span<const std::uint8_t> body,
+                         ParameterType type) noexcept {
+  const auto want = static_cast<std::uint16_t>(type);
+  std::size_t count = 0;
+  std::size_t at = 0;
+  while (body.size() - at >= 4) {
+    const auto t = static_cast<std::uint16_t>((body[at] << 8) | body[at + 1]);
+    const auto len =
+        static_cast<std::uint16_t>((body[at + 2] << 8) | body[at + 3]);
+    if (len < 4 || len > body.size() - at) break;
+    if (t == want) ++count;
+    at += len;
+  }
+  return count;
+}
+
 TagObservation decode_tag_report_data(std::span<const std::uint8_t> body) {
   TagObservation obs;
+  obs.samples.reserve(count_params(body, ParameterType::kCustomPhaseReport));
   ByteReader r(body);
   bool have_epc = false;
   while (!r.done()) {
@@ -223,7 +291,9 @@ RoAccessReport decode_ro_access_report(std::span<const std::uint8_t> buffer) {
   check_type(*h, MessageType::kRoAccessReport, buffer.size());
   RoAccessReport msg;
   msg.message_id = h->message_id;
-  ByteReader r(buffer.subspan(kHeaderBytes));
+  const auto body = buffer.subspan(kHeaderBytes);
+  msg.observations.reserve(count_params(body, ParameterType::kTagReportData));
+  ByteReader r(body);
   while (!r.done()) {
     const ParamView p = read_param(r);
     if (p.type == ParameterType::kTagReportData) {
@@ -254,14 +324,32 @@ ReaderEventNotification decode_reader_event_notification(
 }
 
 void LlrpStreamDecoder::feed(std::span<const std::uint8_t> bytes) {
+  // Compact the consumed prefix once per feed, not once per frame.
+  if (head_ > 0) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+}
+
+std::span<const std::uint8_t> LlrpStreamDecoder::pending() const noexcept {
+  return std::span<const std::uint8_t>(buffer_).subspan(head_);
+}
+
+void LlrpStreamDecoder::consume(std::size_t n) noexcept {
+  head_ += n;
+  if (head_ == buffer_.size()) {
+    buffer_.clear();
+    head_ = 0;
+  }
 }
 
 std::optional<RoAccessReport> LlrpStreamDecoder::next_report() {
   while (true) {
-    const auto h = peek_header(buffer_);
-    if (!h || buffer_.size() < h->length) return std::nullopt;
-    const std::span<const std::uint8_t> frame(buffer_.data(), h->length);
+    const auto h = peek_header(pending());
+    if (!h || buffered_bytes() < h->length) return std::nullopt;
+    const auto frame = pending().first(h->length);
     std::optional<RoAccessReport> out;
     switch (h->type) {
       case MessageType::kRoAccessReport:
@@ -274,10 +362,9 @@ std::optional<RoAccessReport> LlrpStreamDecoder::next_report() {
         ++events_;
         break;
     }
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(h->length));
+    consume(h->length);
     if (out) return out;
-    if (buffer_.empty()) return std::nullopt;
+    if (buffered_bytes() == 0) return std::nullopt;
   }
 }
 
@@ -289,7 +376,7 @@ std::optional<RoAccessReport> LlrpStreamDecoder::next_report_tolerant() {
   constexpr std::uint32_t kMaxFrameBytes = 1 << 20;
   while (true) {
     try {
-      const auto h = peek_header(buffer_);  // throws on a bad version
+      const auto h = peek_header(pending());  // throws on a bad version
       if (h) {
         const bool known_type = h->type == MessageType::kRoAccessReport ||
                                 h->type == MessageType::kKeepalive ||
@@ -305,17 +392,18 @@ std::optional<RoAccessReport> LlrpStreamDecoder::next_report_tolerant() {
       // Quarantine it: skip one byte, then scan forward to the next
       // plausible header and try again.
       ++quarantined_;
-      if (!buffer_.empty()) buffer_.erase(buffer_.begin());
+      if (buffered_bytes() > 0) consume(1);
       resync();
-      if (buffer_.empty()) return std::nullopt;
+      if (buffered_bytes() == 0) return std::nullopt;
     }
   }
 }
 
 void LlrpStreamDecoder::resync() {
-  while (buffer_.size() >= 2) {
+  const std::span<const std::uint8_t> bytes = pending();
+  for (std::size_t at = 0; bytes.size() - at >= 2; ++at) {
     const auto first = static_cast<std::uint16_t>(
-        (static_cast<std::uint16_t>(buffer_[0]) << 8) | buffer_[1]);
+        (static_cast<std::uint16_t>(bytes[at]) << 8) | bytes[at + 1]);
     const std::uint8_t version = (first >> 10) & 0x7;
     const std::uint16_t type = first & 0x3FF;
     const bool known_type =
@@ -323,14 +411,16 @@ void LlrpStreamDecoder::resync() {
         type == static_cast<std::uint16_t>(MessageType::kKeepalive) ||
         type == static_cast<std::uint16_t>(
                     MessageType::kReaderEventNotification);
-    if (version == kLlrpVersion && known_type) return;
-    buffer_.erase(buffer_.begin());
+    if (version == kLlrpVersion && known_type) {
+      consume(at);
+      return;
+    }
   }
-  buffer_.clear();
+  consume(bytes.size());
 }
 
 void LlrpStreamDecoder::flush_incomplete() {
-  if (buffer_.empty()) return;
+  if (buffered_bytes() == 0) return;
   // The frame at the head is dead — the caller knows its tail will
   // never arrive. A misaligned head can masquerade as a plausible
   // header whose bogus length swallows real messages behind it, so do
@@ -338,17 +428,17 @@ void LlrpStreamDecoder::flush_incomplete() {
   // if the remaining bytes hold one. Heads that stay incomplete under
   // the no-more-bytes assumption are dead too.
   ++quarantined_;
-  while (!buffer_.empty()) {
-    buffer_.erase(buffer_.begin());
+  while (buffered_bytes() > 0) {
+    consume(1);
     resync();  // leaves an empty buffer or a plausible 2-byte header
-    if (buffer_.empty()) return;
-    const auto h = peek_header(buffer_);
+    if (buffered_bytes() == 0) return;
+    const auto h = peek_header(pending());
     if (!h) {
       // Fewer than header-size bytes: can never complete. Discard.
-      buffer_.clear();
+      consume(buffered_bytes());
       return;
     }
-    if (buffer_.size() >= h->length) return;  // complete frame salvaged
+    if (buffered_bytes() >= h->length) return;  // complete frame salvaged
   }
 }
 

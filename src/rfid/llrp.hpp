@@ -77,12 +77,25 @@ struct PhaseSample {
   }
 };
 
+/// A tag read whose samples live in storage owned elsewhere (a decoded
+/// TagObservation, a serving epoch's sample arena).
+struct ObservationView {
+  Epc96 epc;
+  std::uint16_t antenna_port = 1;
+  std::uint64_t first_seen_us = 0;
+  std::span<const PhaseSample> samples;
+};
+
 /// One TagReportData parameter: a tag read plus its per-element samples.
 struct TagObservation {
   Epc96 epc;
   std::uint16_t antenna_port = 1;   ///< reader RF port the hub hangs off
   std::uint64_t first_seen_us = 0;  ///< reader clock
   std::vector<PhaseSample> samples;
+
+  [[nodiscard]] ObservationView view() const noexcept {
+    return {epc, antenna_port, first_seen_us, samples};
+  }
 };
 
 /// A decoded LLRP message.
@@ -160,14 +173,21 @@ class LlrpStreamDecoder {
     return quarantined_;
   }
   [[nodiscard]] std::size_t buffered_bytes() const noexcept {
-    return buffer_.size();
+    return buffer_.size() - head_;
   }
 
  private:
+  /// The received bytes not consumed yet.
+  [[nodiscard]] std::span<const std::uint8_t> pending() const noexcept;
+  /// Advance the read offset past n pending bytes.
+  void consume(std::size_t n) noexcept;
   /// Drop bytes until the buffer starts at a plausible message header.
   void resync();
 
+  /// Received bytes; those before head_ are consumed and are compacted
+  /// away by the next feed().
   std::vector<std::uint8_t> buffer_;
+  std::size_t head_ = 0;
   std::size_t keepalives_ = 0;
   std::size_t events_ = 0;
   std::size_t quarantined_ = 0;

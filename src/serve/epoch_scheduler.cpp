@@ -6,6 +6,29 @@
 
 namespace dwatch::serve {
 
+void EpochReports::add(std::size_t array, const rfid::RoAccessReport& report) {
+  for (const rfid::TagObservation& obs : report.observations) {
+    samples_.insert(samples_.end(), obs.samples.begin(), obs.samples.end());
+    observations_.push_back(Observation{obs.epc, obs.antenna_port,
+                                        obs.first_seen_us, samples_.size()});
+  }
+  reports_.push_back(Report{array, observations_.size()});
+}
+
+void EpochReports::reserve(const Extent& extent) {
+  reports_.reserve(extent.reports);
+  observations_.reserve(extent.observations);
+  samples_.reserve(extent.samples);
+}
+
+rfid::ObservationView EpochReports::observation(std::size_t i) const {
+  const Observation& obs = observations_[i];
+  const std::size_t begin = i == 0 ? 0 : observations_[i - 1].samples_end;
+  return {obs.epc, obs.antenna_port, obs.first_seen_us,
+          std::span<const rfid::PhaseSample>(samples_).subspan(
+              begin, obs.samples_end - begin)};
+}
+
 EpochScheduler::EpochScheduler(std::size_t num_zones,
                                std::size_t max_queue_per_zone)
     : queues_(num_zones),

@@ -49,6 +49,57 @@
 
 namespace dwatch::serve {
 
+/// The reports of one epoch, flattened: every sample in one arena, one
+/// record per observation (its header fields and where its samples
+/// end) and one per report (its array and where its observations end).
+/// add() copies a report in; once the vectors have grown, nothing is
+/// allocated per report or per observation.
+class EpochReports {
+ public:
+  /// How much an epoch holds (a capacity hint for the next one).
+  struct Extent {
+    std::size_t reports = 0;
+    std::size_t observations = 0;
+    std::size_t samples = 0;
+  };
+
+  /// Append one report of array `array`, in arrival order.
+  void add(std::size_t array, const rfid::RoAccessReport& report);
+  void reserve(const Extent& extent);
+  [[nodiscard]] Extent extent() const noexcept {
+    return {reports_.size(), observations_.size(), samples_.size()};
+  }
+
+  /// Reports held.
+  [[nodiscard]] std::size_t size() const noexcept { return reports_.size(); }
+  /// The array report r came from.
+  [[nodiscard]] std::size_t array(std::size_t r) const {
+    return reports_[r].array;
+  }
+  /// Report r's observations are [first_observation(r),
+  /// first_observation(r + 1)); r may be size().
+  [[nodiscard]] std::size_t first_observation(std::size_t r) const {
+    return r == 0 ? 0 : reports_[r - 1].observations_end;
+  }
+  /// Observation i, its samples a span over the arena.
+  [[nodiscard]] rfid::ObservationView observation(std::size_t i) const;
+
+ private:
+  struct Observation {
+    rfid::Epc96 epc;
+    std::uint16_t antenna_port = 1;
+    std::uint64_t first_seen_us = 0;
+    std::size_t samples_end = 0;
+  };
+  struct Report {
+    std::size_t array = 0;
+    std::size_t observations_end = 0;
+  };
+  std::vector<rfid::PhaseSample> samples_;
+  std::vector<Observation> observations_;
+  std::vector<Report> reports_;
+};
+
 /// One sealed epoch waiting for its fix.
 struct PendingEpoch {
   std::size_t zone = 0;
@@ -57,8 +108,8 @@ struct PendingEpoch {
   std::uint64_t watermark_us = 0;
   /// Shed/reject priority; kAnchor epochs are never victims.
   TrafficClass traffic_class = TrafficClass::kTracking;
-  /// (array index, report) in arrival order.
-  std::vector<std::pair<std::size_t, rfid::RoAccessReport>> reports;
+  /// The routed reports, in arrival order.
+  EpochReports reports;
   /// Per-array anchor-tag measurements for the recovery coordinator
   /// (empty when the zone has no coordinator or no probe this epoch).
   std::vector<std::vector<core::CalibrationMeasurement>> anchors;

@@ -49,6 +49,7 @@ std::size_t LocalizationService::add_zone(ZoneConfig config) {
   admission_.set_zone_class(id, cls);
   open_.emplace_back();
   open_begins_.push_back(0);
+  last_extent_.emplace_back();
   fixes_.emplace_back();
   return id;
 }
@@ -97,6 +98,7 @@ void LocalizationService::begin_epoch(std::size_t zone,
   PendingEpoch epoch;
   epoch.zone = zone;
   epoch.watermark_us = watermark_us;
+  epoch.reports.reserve(last_extent_[zone]);
   open_[zone] = std::move(epoch);
   open_begins_[zone] = 1;
 }
@@ -112,7 +114,7 @@ void LocalizationService::add_report(std::size_t zone, std::size_t array,
         "serve::LocalizationService: no open epoch for zone (begin_epoch "
         "first)");
   }
-  open_[zone]->reports.emplace_back(array, report);
+  open_[zone]->reports.add(array, report);
   ++z.serving_stats().reports_routed;
 }
 
@@ -140,6 +142,7 @@ AdmissionDecision LocalizationService::seal_epoch(std::size_t zone) {
   PendingEpoch epoch = std::move(*open_[zone]);
   open_[zone].reset();
   open_begins_[zone] = 0;
+  last_extent_[zone] = epoch.reports.extent();
   epoch.traffic_class = admission_.classify(zone, !epoch.anchors.empty());
   decision.traffic_class = epoch.traffic_class;
   decision.tier = admission_.tier();
@@ -237,11 +240,13 @@ void LocalizationService::process_epoch(PendingEpoch&& epoch) {
   // streaming pipeline fed the same reports would do.
   pipeline.begin_epoch(epoch.watermark_us);
   std::size_t reports_fed = 0;
-  for (const auto& [array, report] : epoch.reports) {
+  const EpochReports& reports = epoch.reports;
+  for (std::size_t r = 0; r < reports.size(); ++r) {
     if (pipeline.early_fix_ready()) break;
     ++reports_fed;
-    for (const rfid::TagObservation& obs : report.observations) {
-      (void)pipeline.observe(array, obs);
+    const std::size_t end = reports.first_observation(r + 1);
+    for (std::size_t i = reports.first_observation(r); i < end; ++i) {
+      (void)pipeline.observe(reports.array(r), reports.observation(i));
       if (pipeline.early_fix_ready()) break;
     }
   }

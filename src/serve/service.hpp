@@ -270,6 +270,9 @@ class LocalizationService {
   /// Serving ticks absorbed into each zone's open epoch (brownout
   /// widening); equals 1 right after a fresh begin_epoch.
   std::vector<std::size_t> open_begins_;
+  /// Size of each zone's last sealed epoch: the next one reserves as
+  /// much, so steady traffic fills its arena without regrowing it.
+  std::vector<EpochReports::Extent> last_extent_;
   /// Per-zone completed fixes (each appended only by its own zone's
   /// scheduler task — disjoint writes, no locking needed).
   std::vector<std::vector<ZoneFix>> fixes_;

@@ -36,6 +36,13 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// A sample's value by its definition, not through the dequantization
+/// tables the fill under test reads.
+linalg::Complex direct_value(const rfid::PhaseSample& s) {
+  return std::polar(rfid::dequantize_rssi(s.rssi_q),
+                    rfid::dequantize_phase(s.phase_q));
+}
+
 // ------------------------------------------------------ snapshot fill
 
 /// The map-based fill as it stood before the flat rewrite.
@@ -52,7 +59,7 @@ linalg::CMatrix snapshots_oracle(const rfid::TagObservation& obs,
     }
     auto& row = rounds[s.round];
     if (row.empty()) row.resize(num_elements);
-    row[s.element_id - 1] = s.as_complex();
+    row[s.element_id - 1] = direct_value(s);
   }
   std::vector<const std::vector<std::optional<linalg::Complex>>*> complete;
   for (const auto& [round, row] : rounds) {
@@ -190,7 +197,7 @@ TEST(SnapshotFillOracle, LastDuplicateWins) {
   const linalg::CMatrix x = observation_to_snapshots(obs, 4);
   ASSERT_EQ(x.cols(), 2u);
   // Column 0 is round 1; its element 4 value is the last one written.
-  const linalg::Complex last = obs.samples[obs.samples.size() - 1].as_complex();
+  const linalg::Complex last = direct_value(obs.samples.back());
   EXPECT_TRUE(same_bits(x(3, 0).real(), last.real()));
   EXPECT_TRUE(same_bits(x(3, 0).imag(), last.imag()));
 }

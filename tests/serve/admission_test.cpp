@@ -484,6 +484,79 @@ TEST(ServeAdmission, WidenTierAbsorbsTicksAndKeepsFirstWatermark) {
             1u);
 }
 
+/// Two observations per report: array `array`'s reads of epochs 2k and
+/// 2k + 1.
+rfid::RoAccessReport double_report(std::size_t array, std::uint64_t k) {
+  rfid::RoAccessReport report = epoch_report(array, 2 * k);
+  report.observations.push_back(
+      epoch_report(array, 2 * k + 1).observations.front());
+  return report;
+}
+
+TEST(ServeAdmission, WidenedMultiReportEpochMatchesAStandalonePipeline) {
+  // The epoch's flat report storage must feed the pipeline exactly the
+  // observations a standalone pipeline sees, in the same order, across
+  // the ticks a widened epoch absorbs.
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  LocalizationService service(opts);
+  const ZoneConfig cfg = zone_config();
+  (void)service.add_zone(cfg);
+  install_baselines(service.zone(0).pipeline());
+  FakeProvider provider;
+  service.set_budget_provider(&provider);
+  std::vector<std::size_t> observed_reports;
+  service.set_epoch_observer([&](const EpochObservation& o) {
+    observed_reports.push_back(o.reports);
+  });
+  provider.signal.fast_burn = 2.5;
+  (void)service.run_pending();
+  ASSERT_EQ(service.admission().tier(), BrownoutTier::kWidenEpochs);
+
+  ZoneConfig ref_cfg = cfg;
+  ref_cfg.pipeline.num_workers = 1;
+  core::DWatchPipeline ref(ref_cfg.arrays, ref_cfg.bounds, ref_cfg.pipeline);
+  install_baselines(ref);
+  std::vector<core::ConfidentEstimate> want;
+  std::vector<std::size_t> want_reports;
+
+  for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
+    ref.begin_epoch(0);
+    std::size_t reports = 0;
+    for (std::uint64_t tick = 0; tick < 2; ++tick) {
+      service.begin_epoch(0);  // the second tick is absorbed
+      for (std::size_t a = 0; a < 2; ++a) {
+        for (std::uint64_t k = 0; k < 2; ++k) {
+          const rfid::RoAccessReport report =
+              double_report(a, 8 * epoch + 4 * tick + 2 * k + a);
+          service.add_report(0, a, report);
+          for (const rfid::TagObservation& obs : report.observations) {
+            (void)ref.observe(a, obs);
+          }
+          ++reports;
+        }
+      }
+    }
+    want.push_back(ref.localize_with_confidence(cfg.best_effort));
+    want_reports.push_back(reports);
+  }
+  (void)service.run_pending();  // seals the last widened epoch too
+
+  EXPECT_EQ(service.stats().epochs_widened, 3u);
+  const std::vector<ZoneFix>& fixes = service.fixes(0);
+  ASSERT_EQ(fixes.size(), want.size());
+  EXPECT_EQ(observed_reports, want_reports);
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    ASSERT_TRUE(want[e].estimate.valid);
+    EXPECT_EQ(fixes[e].result.estimate.position.x, want[e].estimate.position.x);
+    EXPECT_EQ(fixes[e].result.estimate.position.y, want[e].estimate.position.y);
+    EXPECT_EQ(fixes[e].result.estimate.likelihood,
+              want[e].estimate.likelihood);
+    EXPECT_EQ(fixes[e].result.confidence, want[e].confidence);
+  }
+}
+
 TEST(ServeAdmission, BulkIsPurgedAtShedBulkAndRefusedAtRejectBulk) {
   ServiceOptions opts;
   opts.num_workers = 1;

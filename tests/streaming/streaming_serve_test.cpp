@@ -200,6 +200,68 @@ TEST(StreamingServe, EarlySealedFixStaysNearTheFullBacklogFix) {
               0.0, 0.25);
 }
 
+TEST(StreamingServe, EarlySealedMultiReportEpochMatchesAStandalonePipeline) {
+  // The epoch's flat report storage against a standalone streaming
+  // pipeline fed the same observations by the same recipe: stop at the
+  // first converged observation, count the reports never fed.
+  const ZoneConfig cfg = streaming_zone(true);
+  LocalizationService service;
+  const std::size_t z = service.add_zone(cfg);
+  install_baselines(service.zone(z).pipeline());
+  std::vector<std::size_t> observed_reports;
+  service.set_epoch_observer([&](const EpochObservation& o) {
+    observed_reports.push_back(o.reports);
+  });
+
+  // Three observations per report, arrays interleaved.
+  const auto arrays = zone_arrays();
+  std::vector<std::pair<std::size_t, rfid::RoAccessReport>> routed;
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t a = 0; a < arrays.size(); ++a) {
+      const double angle = arrays[a].arrival_angle_planar(kTarget);
+      rfid::RoAccessReport report;
+      report.message_id = static_cast<std::uint32_t>(100 * r + a);
+      for (std::size_t k = 0; k < 3; ++k) {
+        report.observations.push_back(wire_obs(
+            synth(arrays[a], angle, 0.2, 40 + 100 * r + 10 * k + a),
+            rfid::Epc96::for_tag_index(static_cast<std::uint32_t>(a + 1))));
+      }
+      routed.emplace_back(a, report);
+    }
+  }
+  service.begin_epoch(z);
+  for (const auto& [a, report] : routed) service.add_report(z, a, report);
+  ASSERT_EQ(service.run_pending(), 1u);
+
+  ZoneConfig ref_cfg = cfg;
+  ref_cfg.pipeline.num_workers = 1;
+  core::DWatchPipeline ref(ref_cfg.arrays, ref_cfg.bounds, ref_cfg.pipeline);
+  install_baselines(ref);
+  ref.begin_epoch(0);
+  std::size_t fed = 0;
+  for (const auto& [a, report] : routed) {
+    if (ref.early_fix_ready()) break;
+    ++fed;
+    for (const rfid::TagObservation& obs : report.observations) {
+      (void)ref.observe(a, obs);
+      if (ref.early_fix_ready()) break;
+    }
+  }
+  const core::ConfidentEstimate want =
+      ref.localize_with_confidence(cfg.best_effort);
+
+  const auto& fixes = service.fixes(z);
+  ASSERT_EQ(fixes.size(), 1u);
+  ASSERT_TRUE(fixes[0].early);
+  ASSERT_TRUE(ref.early_fix_ready());
+  EXPECT_EQ(fixes[0].reports_skipped, routed.size() - fed);
+  EXPECT_EQ(observed_reports, std::vector<std::size_t>{routed.size()});
+  EXPECT_EQ(fixes[0].result.estimate.position.x, want.estimate.position.x);
+  EXPECT_EQ(fixes[0].result.estimate.position.y, want.estimate.position.y);
+  EXPECT_EQ(fixes[0].result.estimate.likelihood, want.estimate.likelihood);
+  EXPECT_EQ(fixes[0].result.confidence, want.confidence);
+}
+
 TEST(StreamingServe, DefaultWatermarkCarriesAcrossServiceEpochs) {
   // Satellite regression, end to end: with reject_stale on and the
   // serving loop passing the DEFAULT watermark (0), the second epoch
