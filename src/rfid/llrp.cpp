@@ -426,13 +426,19 @@ void LlrpStreamDecoder::flush_incomplete() {
   // header whose bogus length swallows real messages behind it, so do
   // not just clear: drop the head and salvage the next COMPLETE frame
   // if the remaining bytes hold one. Heads that stay incomplete under
-  // the no-more-bytes assumption are dead too.
+  // the no-more-bytes assumption are dead too, and so are heads whose
+  // length field is shorter than a header.
   ++quarantined_;
   while (buffered_bytes() > 0) {
     consume(1);
     resync();  // leaves an empty buffer or a plausible 2-byte header
     if (buffered_bytes() == 0) return;
-    const auto h = peek_header(pending());
+    std::optional<MessageHeader> h;
+    try {
+      h = peek_header(pending());
+    } catch (const DecodeError&) {
+      continue;  // resync() vetted the version: the length is too short
+    }
     if (!h) {
       // Fewer than header-size bytes: can never complete. Discard.
       consume(buffered_bytes());

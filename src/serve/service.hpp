@@ -115,7 +115,7 @@ struct ServiceStats {
   std::size_t fixes_degraded = 0;
   /// Scheduler per-class admission/shed counters (indexed by
   /// TrafficClass; anchor-class sheds MUST stay 0 — asserted by the
-  /// admission suite and the bench_fleet smoke gate).
+  /// admission suite and the FleetStorm overload test).
   std::array<std::uint64_t, kNumTrafficClasses> submitted_by_class{};
   std::array<std::uint64_t, kNumTrafficClasses> shed_by_class{};
   /// Active brownout tier at roll-up time.

@@ -289,6 +289,42 @@ TEST(LlrpStream, FlushIncompleteDiscardsAndCounts) {
   EXPECT_TRUE(decoder.next_report().has_value());
 }
 
+TEST(LlrpStream, FlushIncompleteSalvagesPastAShortLengthHead) {
+  // A dead head (length 1000, tail never arrives), then a plausible
+  // type word whose length field (4) is shorter than a header. Both are
+  // quarantined; the drain/flush loop neither throws nor stalls, and a
+  // complete report behind them is still salvaged.
+  const std::vector<std::uint8_t> stream{
+      0x08, 0x3E, 0x00, 0x00, 0x03, 0xE8, 0x00, 0x00, 0x00, 0x01,
+      0x08, 0x3E, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x02};
+  const auto drain = [](LlrpStreamDecoder& decoder) {
+    std::vector<RoAccessReport> out;
+    while (true) {
+      while (auto report = decoder.next_report_tolerant()) {
+        out.push_back(std::move(*report));
+      }
+      if (decoder.buffered_bytes() == 0) return out;
+      decoder.flush_incomplete();
+    }
+  };
+
+  LlrpStreamDecoder bare;
+  bare.feed(stream);
+  std::vector<RoAccessReport> out;
+  ASSERT_NO_THROW(out = drain(bare));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(bare.frames_quarantined(), 1u);
+  EXPECT_EQ(bare.buffered_bytes(), 0u);
+
+  LlrpStreamDecoder with_report;
+  with_report.feed(stream);
+  with_report.feed(encode(sample_report()));
+  ASSERT_NO_THROW(out = drain(with_report));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].message_id, 1234u);
+  EXPECT_EQ(with_report.buffered_bytes(), 0u);
+}
+
 TEST(ByteReader, TruncationThrows) {
   const std::vector<std::uint8_t> buf{1, 2, 3};
   ByteReader r(buf);

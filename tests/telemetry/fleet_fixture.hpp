@@ -26,16 +26,17 @@ inline std::vector<rf::UniformLinearArray> zone_arrays() {
 
 inline linalg::CMatrix synth(const rf::UniformLinearArray& array,
                              double angle_rad, double scale,
-                             std::uint64_t seed) {
+                             std::uint64_t seed,
+                             std::size_t num_snapshots = 16) {
   rf::PropagationPath p;
   p.kind = rf::PathKind::kDirect;
-  p.vertices = {{-10, 0, 1.25}, array.center()};
+  p.vertices = {{-10, 0, array.center().z}, array.center()};
   p.length = 10.0;
   p.aoa = angle_rad;
   p.gain = {0.01, 0.0};
   const std::vector<rf::PropagationPath> paths{p};
   rf::SnapshotOptions opts;
-  opts.num_snapshots = 16;
+  opts.num_snapshots = num_snapshots;
   opts.noise_sigma = rf::noise_sigma_for_snr(paths, 1.0, 35.0);
   rf::Rng rng(seed);
   const std::vector<double> path_scale{scale};
